@@ -268,20 +268,29 @@ def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     return pts, False
 
 
+def guard_term_exponents(damp: np.ndarray):
+    """Raise EvaluationRangeError when any |<y, lam_m>| entry passes EXP_GUARD.
+
+    damp holds the real exponents <y, lam_m> with terms along the last
+    axis, one row per point or height; the error names the offending term.
+    """
+    worst = float(np.max(np.abs(damp))) if damp.size else 0.0
+    if worst > EXP_GUARD:
+        flat = np.argmax(np.abs(damp))
+        term = int(np.unravel_index(flat, damp.shape)[-1])
+        raise EvaluationRangeError(
+            "term %d drives |<y, lam>| = %.3g past the exp() guard %g" % (term, worst, EXP_GUARD),
+            exponent=worst,
+        )
+
+
 def _poly_values(poly: TrigPolynomial, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
     """Batched evaluation of sum_m c_m exp(i<z, lam_m>) at z = x + iy."""
     phase = x @ poly.freqs.T
     if y is None:
         return np.exp(1j * phase) @ poly.coeffs
     damp = y @ poly.freqs.T
-    worst = float(np.max(np.abs(damp))) if damp.size else 0.0
-    if worst > EXP_GUARD:
-        flat = np.argmax(np.abs(damp))
-        term = int(np.unravel_index(flat, damp.shape)[1])
-        raise EvaluationRangeError(
-            "term %d drives |<y, lam>| = %.3g past the exp() guard %g" % (term, worst, EXP_GUARD),
-            exponent=worst,
-        )
+    guard_term_exponents(damp)
     return np.exp(1j * phase - damp) @ poly.coeffs
 
 

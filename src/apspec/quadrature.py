@@ -101,10 +101,12 @@ def midpoint_nodes(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 class KahanAccumulator:
-    """Compensated scalar accumulator; works for float and complex.
+    """Compensated accumulator; works for float and complex, scalar or array.
 
-    Uses the branch-free swing-safe variant: the carry collects whichever
-    operand was truncated, so alternating large and small addends survive.
+    Uses the swing-safe variant: the carry collects whichever operand was
+    truncated, so alternating large and small addends survive.  Array
+    addends are compensated elementwise, each element exactly as a scalar
+    accumulator would treat it.
     """
 
     def __init__(self, zero=0.0):
@@ -113,7 +115,11 @@ class KahanAccumulator:
 
     def add(self, value):
         t = self._sum + value
-        if abs(self._sum) >= abs(value):
+        if np.ndim(t):
+            sum_kept = np.abs(self._sum) >= np.abs(value)
+            self._carry = self._carry + np.where(sum_kept, (self._sum - t) + value,
+                                                 (value - t) + self._sum)
+        elif abs(self._sum) >= abs(value):
             self._carry += (self._sum - t) + value
         else:
             self._carry += (value - t) + self._sum
@@ -125,7 +131,11 @@ class KahanAccumulator:
 
 
 def reduce_in_blocks(partials: Sequence, summation: str):
-    """Combine partial sums in order, compensated or naive."""
+    """Combine partial sums in order, compensated or naive.
+
+    Partials may be scalars or equal-shape arrays; arrays combine
+    elementwise.
+    """
     if summation == NAIVE:
         total = partials[0]
         for p in partials[1:]:
@@ -144,9 +154,11 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
                summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
     """Sum fn over the tensor midpoint grid defined by axes.
 
-    fn maps an (m, p) coordinate block to m values.  Returns the plain sum
-    of the n_1*...*n_p node values; multiply by the cell volume for an
-    integral or divide by the node count for a mean.
+    fn maps an (m, p) coordinate block to m values, or to a C-contiguous
+    (k, m) array of k integrands sharing the grid.  Returns the plain sum
+    of the n_1*...*n_p node values (a k-vector in the second case, each
+    entry bitwise equal to the scalar sum of its row); multiply by the cell
+    volume for an integral or divide by the node count for a mean.
     """
     ns = [int(n) for (_, _, n) in axes]
     total = 1
@@ -162,7 +174,7 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
         coords = np.empty((idx.shape[0], len(axes)), dtype=np.float64)
         for j, ix in enumerate(np.unravel_index(idx, ns)):
             coords[:, j] = nodes[j][ix]
-        partials.append(np.add.reduce(fn(coords)))
+        partials.append(np.add.reduce(fn(coords), axis=-1))
     return reduce_in_blocks(partials, summation)
 
 

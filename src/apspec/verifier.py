@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import POLY, FunctionSource, eval_complex, eval_real, known_type
+from .core import POLY, FunctionSource, eval_complex, guard_term_exponents, known_type
 from .entire import (
     DEFAULT_RADII,
     InequalityCheck,
@@ -163,23 +163,41 @@ def _rest_axes(half_width: float, dim: int, rest_points: int):
     return [(-half_width, half_width, rest_points)] * (dim - 1)
 
 
-def _bottom_top_integrals(source: FunctionSource, omega: float, half_width: float,
-                          y1: float, x1_points: int, rest_points: int,
-                          summation: str) -> tuple[complex, complex]:
+def _horizontal_edges(source: FunctionSource, omega: float, half_width: float,
+                      heights, x1_points: int, rest_points: int,
+                      summation: str) -> np.ndarray:
+    """int f(x1 + iy, x') e^{i omega (x1 + iy)} dx over the box, at each height y.
+
+    For a polynomial the integrand is sum_m c_m e^{-(lam_m1 + omega) y}
+    e^{i <x, lam_m> + i omega x1}; the grid sums of the height-free factors
+    come from one walk and each height is a weighted sum of them.  Other
+    sources are walked once per height.
+    """
     p = source.dim
     axes = [(-half_width, half_width, x1_points)] + _rest_axes(half_width, p, rest_points)
+    heights = np.asarray(heights, dtype=np.float64)
+    if source.kind == POLY:
+        poly = source.poly
+        guard_term_exponents(np.outer(heights, poly.freqs[:, 0]))
+        shifted = poly.freqs.copy()
+        shifted[:, 0] += omega
 
-    def fn_bottom(coords: np.ndarray) -> np.ndarray:
-        return eval_real(source, coords) * np.exp(1j * omega * coords[:, 0])
+        def fn_terms(coords: np.ndarray) -> np.ndarray:
+            return np.exp(1j * (shifted @ coords.T))
 
-    def fn_top(coords: np.ndarray) -> np.ndarray:
-        z = coords.astype(np.complex128)
-        z[:, 0] = z[:, 0] + 1j * y1
-        return eval_complex(source, z) * np.exp(1j * omega * coords[:, 0])
+        sums = tensor_integral(fn_terms, axes, summation)
+        weights = np.exp(-np.outer(heights, shifted[:, 0])) * (poly.coeffs * sums)
+        return weights.sum(axis=1)
 
-    bottom = tensor_integral(fn_bottom, axes, summation)
-    top = tensor_integral(fn_top, axes, summation) * math.exp(-omega * y1)
-    return complex(bottom), complex(top)
+    edges = np.empty(heights.shape[0], dtype=np.complex128)
+    for i, y in enumerate(heights):
+        def fn(coords: np.ndarray) -> np.ndarray:
+            z = coords.astype(np.complex128)
+            z[:, 0] = z[:, 0] + 1j * y
+            return eval_complex(source, z) * np.exp(1j * omega * coords[:, 0])
+
+        edges[i] = tensor_integral(fn, axes, summation) * math.exp(-omega * y)
+    return edges
 
 
 def _side_integral(source: FunctionSource, omega: float, half_width: float,
@@ -224,9 +242,9 @@ def contour_decomposition(source: FunctionSource, sigma: float, eta: float,
     if rest_points is None:
         rest_points = min(64, quad.points_per_axis) if p > 1 else 1
     omega = sigma + eta
-    bottom, top = _bottom_top_integrals(source, omega, half_width, y1,
-                                        quad.points_per_axis, rest_points,
-                                        quad.summation)
+    bottom, top = map(complex, _horizontal_edges(
+        source, omega, half_width, (0.0, y1), quad.points_per_axis, rest_points,
+        quad.summation))
     left = _side_integral(source, omega, half_width, y1, side_points,
                           rest_points, quad.summation, edge_sign=-1.0)
     right = _side_integral(source, omega, half_width, y1, side_points,
@@ -255,8 +273,12 @@ def top_edge_decay_check(source: FunctionSource, sigma: float, eta: float,
     """
     if eta <= 0:
         raise PreconditionError("eta must be positive")
+    if sigma < 0:
+        raise PreconditionError("sigma must be >= 0")
     y1s = sorted(float(y) for y in y1_values)
-    if not y1s or y1s[0] < 0:
+    if not y1s:
+        raise PreconditionError("y1_values must name at least one height")
+    if y1s[0] < 0:
         raise PreconditionError("y1 values must be nonnegative")
     p = source.dim
     if rest_points is None:
@@ -266,13 +288,10 @@ def top_edge_decay_check(source: FunctionSource, sigma: float, eta: float,
     constant = strip_bound_constant(p, norm)
     scale = constant * half_width ** p
     checks: list[InequalityCheck] = []
-    magnitudes = []
-    for y1 in y1s:
-        _, top = _bottom_top_integrals(source, omega, half_width, y1,
-                                       quad.points_per_axis, rest_points,
-                                       quad.summation)
-        mag = abs(top)
-        magnitudes.append(mag)
+    magnitudes = np.abs(_horizontal_edges(
+        source, omega, half_width, y1s, quad.points_per_axis, rest_points,
+        quad.summation)).tolist()
+    for y1, mag in zip(y1s, magnitudes):
         rhs = scale * math.exp(-eta * y1)
         tol = tolerance if tolerance is not None else 1e-9 * (1.0 + rhs)
         checks.append(make_check("top_edge_decay y1=%.6g eta=%.6g T=%.6g"
@@ -336,6 +355,13 @@ class VerifyConfig:
     norm_ladder: LadderSpec = field(default_factory=LadderSpec)
     norm_points: int | None = None
     summation: str = "compensated"
+
+    def __post_init__(self):
+        # every stage after the scan indexes or loops over these ladders; an
+        # empty one would crash the run or drop its checks from the verdict
+        for name in ("strip_s", "strip_half_widths", "y1_values"):
+            if len(getattr(self, name)) == 0:
+                raise PreconditionError("VerifyConfig.%s must not be empty" % name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,17 @@
 """End-to-end command line checks through subprocess: exit codes and files."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+import apspec
+
+# the CLI subprocess imports the same apspec tree as this test process,
+# installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(apspec.__file__)))
 
 TWO_TERM_DOC = {"dim": 1, "terms": [
     {"lambda": [1.8], "re": 0.6, "im": 0.0},
@@ -13,8 +20,10 @@ TWO_TERM_DOC = {"dim": 1, "terms": [
 
 
 def run_cli(*argv, cwd=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "apspec.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.fixture()

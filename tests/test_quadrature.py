@@ -97,6 +97,25 @@ class TestTensorRoutines:
         expected = math.sin(mu * T) / (n * math.sin(mu * T / n))
         assert out == pytest.approx(expected, abs=5e-13)
 
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_vector_fn_matches_scalar_sums_bitwise(self, summation, complex_valued):
+        freqs = np.array([[1.3, 0.2], [-0.7, 2.0], [0.0, 0.0], [5.1, -3.3]])
+
+        def rows(c):
+            phase = freqs @ c.T
+            vals = np.exp(1j * phase) if complex_valued else np.cos(phase)
+            # a large swing between blocks exercises the compensation
+            vals[1] += 1e12 * np.sign(c[:, 0])
+            return vals
+
+        axes = [(-3.0, 3.0, 301), (-2.0, 2.0, 101)]  # 30401 nodes, 8 blocks
+        vec = tensor_sum(rows, axes, summation, block=4096)
+        assert vec.shape == (4,)
+        for j in range(4):
+            scalar = tensor_sum(lambda c: rows(c)[j], axes, summation, block=4096)
+            assert vec[j].tobytes() == np.asarray(scalar).tobytes()
+
     def test_full_grid_orders_first_axis_slowest(self):
         grid = full_grid([np.array([0.0, 1.0]), np.array([10.0, 20.0])])
         assert grid.shape == (4, 2)

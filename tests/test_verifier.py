@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apspec import (
+    EvaluationRangeError,
     FunctionSource,
     PreconditionError,
     QuadratureSpec,
@@ -14,6 +15,9 @@ from apspec import (
     VerifyConfig,
     containment_verdict,
     contour_decomposition,
+    eval_complex,
+    eval_real,
+    exact_type,
     generate_polynomial,
     spectrum_scan,
     strip_bound_constant,
@@ -22,7 +26,8 @@ from apspec import (
     verify_spectral_containment,
 )
 from apspec.meanvalue import SpectrumEntry, SpectrumReport
-from apspec.verifier import _default_candidates
+from apspec.quadrature import tensor_integral
+from apspec.verifier import _default_candidates, _horizontal_edges
 
 
 def single_exp(lam):
@@ -153,6 +158,108 @@ class TestContourDecomposition:
             contour_decomposition(f, sigma=-2.0, eta=0.5, half_width=4.0, y1=1.0, quad=q)
 
 
+def reference_edges(source, omega, half_width, y1, x1_points, rest_points,
+                    summation="compensated"):
+    """Bottom and top edge by one grid walk each, evaluating f pointwise."""
+    axes = ([(-half_width, half_width, x1_points)]
+            + [(-half_width, half_width, rest_points)] * (source.dim - 1))
+
+    def fn_bottom(coords):
+        return eval_real(source, coords) * np.exp(1j * omega * coords[:, 0])
+
+    def fn_top(coords):
+        z = coords.astype(np.complex128)
+        z[:, 0] = z[:, 0] + 1j * y1
+        return eval_complex(source, z) * np.exp(1j * omega * coords[:, 0])
+
+    bottom = tensor_integral(fn_bottom, axes, summation)
+    top = tensor_integral(fn_top, axes, summation) * math.exp(-omega * y1)
+    return complex(bottom), complex(top)
+
+
+def edge_envelope(poly, omega, half_width, y1):
+    """l1 term envelope (2T)^p sum_m |c_m| e^{-(lam_m1 + omega) y1} of an edge."""
+    rates = poly.freqs[:, 0] + omega
+    return (2.0 * half_width) ** poly.dim * float(
+        np.sum(np.abs(poly.coeffs) * np.exp(-rates * y1)))
+
+
+class TestHorizontalEdges:
+    # one grid walk serves every height; the pointwise walk is the reference
+    HEIGHTS = (0.0, 1.0, 2.0, 2.0, 4.0, 8.0)
+    T_BY_DIM = {1: 4.0, 2: 3.0, 3: 2.0}
+    REL_TOL = 1e-13
+
+    def _cases(self):
+        for i in range(6):
+            dim = 1 + i % 3
+            p = generate_polynomial(seed=7100 + i, dim=dim, n_terms=2 + i % 4,
+                                    radius=2.0, min_gap=0.5)
+            yield FunctionSource.from_poly(p), self.T_BY_DIM[dim]
+
+    def test_grouped_heights_match_pointwise_walk(self):
+        for f, T in self._cases():
+            sigma, eta = exact_type(f.poly), 0.5
+            omega = sigma + eta
+            rest = 8 if f.dim > 1 else 1
+            edges = _horizontal_edges(f, omega, T, self.HEIGHTS, 512, rest, "compensated")
+            assert edges.shape == (len(self.HEIGHTS),)
+            for y1, edge in zip(self.HEIGHTS, edges):
+                _, ref = reference_edges(f, omega, T, y1, 512, rest)
+                assert abs(edge - ref) <= self.REL_TOL * edge_envelope(f.poly, omega, T, y1)
+            assert edges[2] == edges[3]
+
+    def test_decay_check_magnitudes_match_pointwise_walk(self):
+        for f, T in self._cases():
+            sigma, eta = exact_type(f.poly), 0.5
+            omega = sigma + eta
+            rest = 8 if f.dim > 1 else 1
+            q = QuadratureSpec(half_width=T, points_per_axis=512)
+            checks = top_edge_decay_check(f, sigma=sigma, eta=eta, half_width=T,
+                                          y1_values=self.HEIGHTS, quad=q,
+                                          rest_points=rest, norm_value=1.0)
+            decay = [c for c in checks if c.context.startswith("top_edge_decay ")]
+            assert len(decay) == len(self.HEIGHTS)
+            for y1, c in zip(self.HEIGHTS, decay):
+                _, ref = reference_edges(f, omega, T, y1, 512, rest)
+                assert abs(c.lhs - abs(ref)) <= self.REL_TOL * edge_envelope(f.poly, omega, T, y1)
+
+    def test_contour_bottom_and_top_match_pointwise_walk(self):
+        for f, T in self._cases():
+            sigma, eta, y1 = exact_type(f.poly), 0.5, 1.0
+            omega = sigma + eta
+            rest = 4 if f.dim > 1 else 1
+            q = QuadratureSpec(half_width=T, points_per_axis=512)
+            d = contour_decomposition(f, sigma=sigma, eta=eta, half_width=T, y1=y1,
+                                      quad=q, side_points=256, rest_points=rest)
+            bottom, top = reference_edges(f, omega, T, y1, 512, rest)
+            assert abs(d.real_axis - bottom) <= self.REL_TOL * edge_envelope(f.poly, omega, T, 0.0)
+            assert abs(d.top_edge - top) <= self.REL_TOL * edge_envelope(f.poly, omega, T, y1)
+
+    def test_sinc_product_walks_each_height(self):
+        f = FunctionSource.sinc_product(2, scale=0.5)
+        omega, T = 1.2, 3.0
+        heights = (0.0, 1.0, 2.0)
+        edges = _horizontal_edges(f, omega, T, heights, 256, 8, "compensated")
+        for y1, edge in zip(heights, edges):
+            assert edge == reference_edges(f, omega, T, y1, 256, 8)[1]
+        assert edges[0] == reference_edges(f, omega, T, 1.0, 256, 8)[0]
+
+    @pytest.mark.parametrize("lam", [[-100.0], [90.0, 0.5]])
+    def test_exponent_guard_still_fires(self, lam):
+        # y1 * |lam_1| = 800 or 720 passes the exp() guard of 700
+        f = single_exp(lam)
+        q = QuadratureSpec(half_width=4.0, points_per_axis=64)
+        sigma = float(np.linalg.norm(lam))
+        with pytest.raises(EvaluationRangeError):
+            top_edge_decay_check(f, sigma=sigma, eta=0.5, half_width=4.0,
+                                 y1_values=(1.0, 8.0), quad=q, rest_points=4,
+                                 norm_value=1.0)
+        with pytest.raises(EvaluationRangeError):
+            contour_decomposition(f, sigma=sigma, eta=0.5, half_width=4.0, y1=8.0,
+                                  quad=q, side_points=64, rest_points=4)
+
+
 class TestTopEdgeDecay:
     def test_single_exponential_bounds_and_ratios(self):
         f = single_exp([0.3])
@@ -182,6 +289,17 @@ class TestTopEdgeDecay:
             top_edge_decay_check(FunctionSource.constant(1.0), sigma=0.0, eta=0.0,
                                  half_width=4.0, y1_values=(1.0,),
                                  quad=QuadratureSpec(half_width=4.0, points_per_axis=64))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sigma": -1.0, "y1_values": (1.0,)}, "sigma must be >= 0"),
+        ({"sigma": 0.0, "y1_values": ()}, "at least one height"),
+        ({"sigma": 0.0, "y1_values": (-1.0, 1.0)}, "nonnegative"),
+    ])
+    def test_parameter_validation(self, kwargs, message):
+        with pytest.raises(PreconditionError, match=message):
+            top_edge_decay_check(FunctionSource.constant(1.0), eta=0.5, half_width=4.0,
+                                 quad=QuadratureSpec(half_width=4.0, points_per_axis=64),
+                                 norm_value=1.0, **kwargs)
 
 
 class TestContainmentVerdict:
@@ -217,6 +335,13 @@ class TestDefaultCandidates:
         assert cands.shape == (3 + 8, 2)
         radii = np.linalg.norm(cands[3:], axis=1)
         assert np.min(radii) == pytest.approx(3.0)
+
+
+class TestVerifyConfig:
+    @pytest.mark.parametrize("name", ["strip_s", "strip_half_widths", "y1_values"])
+    def test_empty_ladders_rejected(self, name):
+        with pytest.raises(PreconditionError, match=name):
+            VerifyConfig(tol=0.1, **{name: ()})
 
 
 class TestVerify:
