@@ -150,6 +150,33 @@ def reduce_in_blocks(partials: Sequence, summation: str):
 Axis = tuple[float, float, int]
 
 
+def _grid_points(shape: Sequence[int]) -> int:
+    """Node count of a grid, after checking its axes and the point budget."""
+    total = 1
+    for n in shape:
+        if int(n) < 1:
+            raise PreconditionError("axis point counts must be >= 1")
+        total *= int(n)
+    check_budget(total)
+    return total
+
+
+def tensor_index_sum(fn: Callable[[np.ndarray], np.ndarray], shape: Sequence[int],
+                     summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
+    """Sum fn over the flat C-order indices of a grid of the given shape.
+
+    fn maps a block of flat indices (int64) to the node values, with the
+    same output forms as tensor_sum; blocks, their reduction and their
+    combination are those of tensor_sum, which walks the grid through here.
+    """
+    total = _grid_points(shape)
+    partials = []
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        partials.append(np.add.reduce(fn(idx), axis=-1))
+    return reduce_in_blocks(partials, summation)
+
+
 def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
                summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
     """Sum fn over the tensor midpoint grid defined by axes.
@@ -161,21 +188,16 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
     volume for an integral or divide by the node count for a mean.
     """
     ns = [int(n) for (_, _, n) in axes]
-    total = 1
-    for n in ns:
-        if n < 1:
-            raise PreconditionError("axis point counts must be >= 1")
-        total *= n
-    check_budget(total)
+    _grid_points(ns)
     nodes = [midpoint_nodes(lo, hi, n) for (lo, hi, n) in axes]
-    partials = []
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+
+    def fn_of_indices(idx: np.ndarray):
         coords = np.empty((idx.shape[0], len(axes)), dtype=np.float64)
         for j, ix in enumerate(np.unravel_index(idx, ns)):
             coords[:, j] = nodes[j][ix]
-        partials.append(np.add.reduce(fn(coords), axis=-1))
-    return reduce_in_blocks(partials, summation)
+        return fn(coords)
+
+    return tensor_index_sum(fn_of_indices, ns, summation, block)
 
 
 def tensor_integral(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],

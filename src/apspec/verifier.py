@@ -32,6 +32,8 @@ from .quadrature import (
     LadderSpec,
     QuadratureSpec,
     default_points_per_axis,
+    midpoint_nodes,
+    tensor_index_sum,
     tensor_integral,
 )
 
@@ -89,6 +91,44 @@ class StripBoundResult:
         return make_check(context, self.lhs, self.rhs, self.tolerance)
 
 
+# largest table of trailing-axis factors (nodes x terms) built for a strip walk
+STRIP_TABLE_ENTRIES = 1 << 20
+
+
+def _shifted_poly_abs_integral(poly, s: float, axes, summation: str) -> float:
+    """int |f(x1 + is, x')| dx over the box for a polynomial f.
+
+    Each term factors over the axes as c_m e^{-s lam_m1} prod_j
+    e^{i x_j lam_mj}, so the per-axis factors are tabulated once on the
+    midpoint nodes and each grid node costs products instead of exp() of
+    every term.  Trailing axes merge into one table while it stays within
+    STRIP_TABLE_ENTRIES; the walk keeps tensor_sum's blocks and summation.
+    """
+    guard_term_exponents(s * poly.freqs[:, 0])
+    k = poly.n_terms
+    tables = [np.exp(1j * np.outer(midpoint_nodes(lo, hi, n), poly.freqs[:, j]))
+              for j, (lo, hi, n) in enumerate(axes)]
+    tables[0] = tables[0] * (poly.coeffs * np.exp(-s * poly.freqs[:, 0]))
+    while len(tables) > 2 and tables[-2].shape[0] * tables[-1].shape[0] * k <= STRIP_TABLE_ENTRIES:
+        last = tables.pop()
+        tables[-1] = (tables[-1][:, None, :] * last[None, :, :]).reshape(-1, k)
+    shape = [t.shape[0] for t in tables]
+
+    def fn(idx: np.ndarray) -> np.ndarray:
+        ix = np.unravel_index(idx, shape)
+        prod = tables[0][ix[0]]
+        for j in range(1, len(tables) - 1):
+            prod *= tables[j][ix[j]]
+        if len(tables) == 1:
+            return np.abs(prod.sum(axis=1))
+        return np.abs(np.einsum("ij,ij->i", prod, tables[-1][ix[-1]]))
+
+    cell = 1.0
+    for (lo, hi, n) in axes:
+        cell *= (hi - lo) / n
+    return tensor_index_sum(fn, shape, summation) * cell
+
+
 def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
                          quad: QuadratureSpec, *,
                          s_max: float = 1.0,
@@ -116,13 +156,16 @@ def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
     p = source.dim
     half_width = quad.half_width
     axes = [(-half_width, half_width, quad.points_per_axis)] * p
-    shift = np.zeros(p)
-    shift[0] = s
+    if source.kind == POLY:
+        raw = _shifted_poly_abs_integral(source.poly, s, axes, quad.summation)
+    else:
+        shift = np.zeros(p)
+        shift[0] = s
 
-    def fn(coords: np.ndarray) -> np.ndarray:
-        return np.abs(eval_complex(source, coords + 1j * shift))
+        def fn(coords: np.ndarray) -> np.ndarray:
+            return np.abs(eval_complex(source, coords + 1j * shift))
 
-    raw = tensor_integral(fn, axes, quad.summation)
+        raw = tensor_integral(fn, axes, quad.summation)
     lhs = float(raw) * math.exp(-s * sigma)
     norm = _resolve_norm(source, norm_value, norm_ladder, norm_quad)
     constant = strip_bound_constant(p, norm)

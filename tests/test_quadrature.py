@@ -19,6 +19,7 @@ from apspec.quadrature import (
     point_budget,
     reduce_in_blocks,
     symmetric_axes,
+    tensor_index_sum,
     tensor_integral,
     tensor_mean,
     tensor_sum,
@@ -115,6 +116,28 @@ class TestTensorRoutines:
         for j in range(4):
             scalar = tensor_sum(lambda c: rows(c)[j], axes, summation, block=4096)
             assert vec[j].tobytes() == np.asarray(scalar).tobytes()
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    def test_index_walk_matches_coordinate_walk_bitwise(self, summation):
+        axes = [(-3.0, 3.0, 301), (-2.0, 2.0, 101)]  # 30401 nodes, 8 blocks
+        ns = [n for (_, _, n) in axes]
+        nodes = [midpoint_nodes(lo, hi, n) for (lo, hi, n) in axes]
+
+        def f(x, y):
+            return np.exp(1j * (1.3 * x - 0.7 * y)) + 1e12 * np.sign(x)
+
+        by_coords = tensor_sum(lambda c: f(c[:, 0], c[:, 1]), axes, summation, block=4096)
+
+        def by_index(idx):
+            i, j = np.unravel_index(idx, ns)
+            return f(nodes[0][i], nodes[1][j])
+
+        by_idx = tensor_index_sum(by_index, ns, summation, block=4096)
+        assert np.asarray(by_idx).tobytes() == np.asarray(by_coords).tobytes()
+
+    def test_index_walk_rejects_empty_axis(self):
+        with pytest.raises(PreconditionError):
+            tensor_index_sum(lambda idx: np.ones(idx.shape[0]), [4, 0])
 
     def test_full_grid_orders_first_axis_slowest(self):
         grid = full_grid([np.array([0.0, 1.0]), np.array([10.0, 20.0])])

@@ -27,6 +27,7 @@ from apspec import (
 )
 from apspec.meanvalue import SpectrumEntry, SpectrumReport
 from apspec.quadrature import tensor_integral
+from apspec import verifier
 from apspec.verifier import _default_candidates, _horizontal_edges
 
 
@@ -79,6 +80,41 @@ class TestStripIntegralBound:
             r = strip_integral_bound(f, sigma=sigma, s=0.5, quad=q, min_half_width=50.0)
             assert r.passed
             assert r.norm_estimate > 0.1  # amplitudes start at 0.1
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("table_entries", [1 << 20, 1])
+    def test_polynomial_walk_matches_pointwise_walk(self, monkeypatch, summation,
+                                                   table_entries):
+        # the tabulated per-axis factors against |f| evaluated node by node;
+        # a one-entry cap keeps every axis in its own table
+        monkeypatch.setattr(verifier, "STRIP_TABLE_ENTRIES", table_entries)
+        npts = {1: 4096, 2: 256, 3: 48}
+        for i in range(6):
+            dim = 1 + i % 3
+            p = generate_polynomial(seed=7000 + i, dim=dim, n_terms=2 + i % 4,
+                                    radius=2.0, min_gap=0.5)
+            f = FunctionSource.from_poly(p)
+            sigma = exact_type(p)
+            T = 50.0
+            q = QuadratureSpec(half_width=T, points_per_axis=npts[dim],
+                               summation=summation)
+            axes = [(-T, T, npts[dim])] * dim
+            for s in (0.25, 1.0):
+                r = strip_integral_bound(f, sigma=sigma, s=s, quad=q, norm_value=1.0,
+                                         min_half_width=50.0)
+                shift = np.zeros(dim)
+                shift[0] = s
+                ref = tensor_integral(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
+                                      axes, summation) * math.exp(-s * sigma)
+                envelope = (2.0 * T) ** dim * float(np.sum(
+                    np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
+                assert abs(r.lhs - ref) <= 1e-13 * envelope
+
+    def test_exp_guard_on_shift(self):
+        q = QuadratureSpec(half_width=50.0, points_per_axis=64)
+        with pytest.raises(EvaluationRangeError):
+            strip_integral_bound(single_exp([701.0, 0.0]), sigma=701.0, s=1.0, quad=q,
+                                 norm_value=1.0, min_half_width=50.0)
 
     def test_half_width_below_threshold_rejected(self):
         q = QuadratureSpec(half_width=50.0, points_per_axis=128)
