@@ -150,8 +150,11 @@ def reduce_in_blocks(partials: Sequence, summation: str):
 Axis = tuple[float, float, int]
 
 
-def _grid_points(shape: Sequence[int]) -> int:
-    """Node count of a grid, after checking its axes and the point budget."""
+def grid_points(shape: Sequence[int]) -> int:
+    """Node count of a grid, after checking its axes and the point budget.
+
+    Grid walks call this before they allocate anything for the grid.
+    """
     total = 1
     for n in shape:
         if int(n) < 1:
@@ -161,15 +164,14 @@ def _grid_points(shape: Sequence[int]) -> int:
     return total
 
 
-def tensor_index_sum(fn: Callable[[np.ndarray], np.ndarray], shape: Sequence[int],
-                     summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
-    """Sum fn over the flat C-order indices of a grid of the given shape.
+def index_sum(fn: Callable[[np.ndarray], np.ndarray], total: int,
+              summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
+    """Sum fn over the flat indices 0 .. total-1 of a grid checked by grid_points.
 
-    fn maps a block of flat indices (int64) to the node values, with the
-    same output forms as tensor_sum; blocks, their reduction and their
-    combination are those of tensor_sum, which walks the grid through here.
+    fn maps a block of flat C-order indices (int64) to the node values, with
+    the same output forms as tensor_sum; blocks, their reduction and their
+    combination are those of tensor_sum, which walks its grid through here.
     """
-    total = _grid_points(shape)
     partials = []
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
@@ -188,7 +190,7 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
     volume for an integral or divide by the node count for a mean.
     """
     ns = [int(n) for (_, _, n) in axes]
-    _grid_points(ns)
+    total = grid_points(ns)
     nodes = [midpoint_nodes(lo, hi, n) for (lo, hi, n) in axes]
 
     def fn_of_indices(idx: np.ndarray):
@@ -197,7 +199,7 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
             coords[:, j] = nodes[j][ix]
         return fn(coords)
 
-    return tensor_index_sum(fn_of_indices, ns, summation, block)
+    return index_sum(fn_of_indices, total, summation, block)
 
 
 def tensor_integral(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],

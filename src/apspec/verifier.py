@@ -29,11 +29,13 @@ from .meanvalue import (
     spectrum_scan,
 )
 from .quadrature import (
+    REDUCE_BLOCK,
     LadderSpec,
     QuadratureSpec,
     default_points_per_axis,
+    grid_points,
+    index_sum,
     midpoint_nodes,
-    tensor_index_sum,
     tensor_integral,
 )
 
@@ -91,42 +93,30 @@ class StripBoundResult:
         return make_check(context, self.lhs, self.rhs, self.tolerance)
 
 
-# largest table of trailing-axis factors (nodes x terms) built for a strip walk
-STRIP_TABLE_ENTRIES = 1 << 20
-
-
-def _shifted_poly_abs_integral(poly, s: float, axes, summation: str) -> float:
-    """int |f(x1 + is, x')| dx over the box for a polynomial f.
+def _shifted_poly_abs_integral(poly, s: float, half_width: float, n: int,
+                               summation: str) -> float:
+    """int |f(x1 + is, x')| dx over [-half_width, half_width]^p for a polynomial f.
 
     Each term factors over the axes as c_m e^{-s lam_m1} prod_j
-    e^{i x_j lam_mj}, so the per-axis factors are tabulated once on the
+    e^{i x_j lam_mj}, so the per-axis factors are tabulated once on the n
     midpoint nodes and each grid node costs products instead of exp() of
-    every term.  Trailing axes merge into one table while it stays within
-    STRIP_TABLE_ENTRIES; the walk keeps tensor_sum's blocks and summation.
+    every term.  The walk keeps tensor_sum's blocks and summation.
     """
+    p = poly.dim
+    total = grid_points([n] * p)
     guard_term_exponents(s * poly.freqs[:, 0])
-    k = poly.n_terms
-    tables = [np.exp(1j * np.outer(midpoint_nodes(lo, hi, n), poly.freqs[:, j]))
-              for j, (lo, hi, n) in enumerate(axes)]
+    nodes = midpoint_nodes(-half_width, half_width, n)
+    tables = [np.exp(1j * np.outer(nodes, poly.freqs[:, j])) for j in range(p)]
     tables[0] = tables[0] * (poly.coeffs * np.exp(-s * poly.freqs[:, 0]))
-    while len(tables) > 2 and tables[-2].shape[0] * tables[-1].shape[0] * k <= STRIP_TABLE_ENTRIES:
-        last = tables.pop()
-        tables[-1] = (tables[-1][:, None, :] * last[None, :, :]).reshape(-1, k)
-    shape = [t.shape[0] for t in tables]
 
     def fn(idx: np.ndarray) -> np.ndarray:
-        ix = np.unravel_index(idx, shape)
+        ix = np.unravel_index(idx, [n] * p)
         prod = tables[0][ix[0]]
-        for j in range(1, len(tables) - 1):
+        for j in range(1, p - 1):
             prod *= tables[j][ix[j]]
-        if len(tables) == 1:
-            return np.abs(prod.sum(axis=1))
         return np.abs(np.einsum("ij,ij->i", prod, tables[-1][ix[-1]]))
 
-    cell = 1.0
-    for (lo, hi, n) in axes:
-        cell *= (hi - lo) / n
-    return tensor_index_sum(fn, shape, summation) * cell
+    return index_sum(fn, total, summation) * math.prod([2.0 * half_width / n] * p)
 
 
 def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
@@ -155,10 +145,14 @@ def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
         )
     p = source.dim
     half_width = quad.half_width
-    axes = [(-half_width, half_width, quad.points_per_axis)] * p
-    if source.kind == POLY:
-        raw = _shifted_poly_abs_integral(source.poly, s, axes, quad.summation)
+    n = quad.points_per_axis
+    # a table pays off once its entries are reused along another axis; an
+    # axis longer than one block is walked pointwise, so no table outgrows
+    # the values of one block
+    if source.kind == POLY and p >= 2 and n <= REDUCE_BLOCK:
+        raw = _shifted_poly_abs_integral(source.poly, s, half_width, n, quad.summation)
     else:
+        axes = [(-half_width, half_width, n)] * p
         shift = np.zeros(p)
         shift[0] = s
 

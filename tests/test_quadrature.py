@@ -15,11 +15,12 @@ from apspec.quadrature import (
     check_budget,
     default_points_per_axis,
     full_grid,
+    grid_points,
+    index_sum,
     midpoint_nodes,
     point_budget,
     reduce_in_blocks,
     symmetric_axes,
-    tensor_index_sum,
     tensor_integral,
     tensor_mean,
     tensor_sum,
@@ -132,12 +133,12 @@ class TestTensorRoutines:
             i, j = np.unravel_index(idx, ns)
             return f(nodes[0][i], nodes[1][j])
 
-        by_idx = tensor_index_sum(by_index, ns, summation, block=4096)
+        by_idx = index_sum(by_index, grid_points(ns), summation, block=4096)
         assert np.asarray(by_idx).tobytes() == np.asarray(by_coords).tobytes()
 
-    def test_index_walk_rejects_empty_axis(self):
+    def test_grid_points_rejects_empty_axis(self):
         with pytest.raises(PreconditionError):
-            tensor_index_sum(lambda idx: np.ones(idx.shape[0]), [4, 0])
+            grid_points([4, 0])
 
     def test_full_grid_orders_first_axis_slowest(self):
         grid = full_grid([np.array([0.0, 1.0]), np.array([10.0, 20.0])])

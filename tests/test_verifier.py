@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apspec import (
+    BudgetExceededError,
     EvaluationRangeError,
     FunctionSource,
     PreconditionError,
@@ -26,8 +27,7 @@ from apspec import (
     verify_spectral_containment,
 )
 from apspec.meanvalue import SpectrumEntry, SpectrumReport
-from apspec.quadrature import tensor_integral
-from apspec import verifier
+from apspec.quadrature import BUDGET_ENV_VAR, tensor_integral
 from apspec.verifier import _default_candidates, _horizontal_edges
 
 
@@ -82,12 +82,9 @@ class TestStripIntegralBound:
             assert r.norm_estimate > 0.1  # amplitudes start at 0.1
 
     @pytest.mark.parametrize("summation", ["compensated", "naive"])
-    @pytest.mark.parametrize("table_entries", [1 << 20, 1])
-    def test_polynomial_walk_matches_pointwise_walk(self, monkeypatch, summation,
-                                                   table_entries):
-        # the tabulated per-axis factors against |f| evaluated node by node;
-        # a one-entry cap keeps every axis in its own table
-        monkeypatch.setattr(verifier, "STRIP_TABLE_ENTRIES", table_entries)
+    def test_polynomial_walk_matches_pointwise_walk(self, summation):
+        # the tabulated per-axis factors (2-3 variables; 1 variable is walked
+        # pointwise) against |f| evaluated node by node
         npts = {1: 4096, 2: 256, 3: 48}
         for i in range(6):
             dim = 1 + i % 3
@@ -109,6 +106,19 @@ class TestStripIntegralBound:
                 envelope = (2.0 * T) ** dim * float(np.sum(
                     np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
                 assert abs(r.lhs - ref) <= 1e-13 * envelope
+
+    @pytest.mark.parametrize("dim,points", [(1, 4096), (2, 64), (3, 16),
+                                            (1, 10 ** 12), (2, 60000), (2, 10 ** 6)])
+    def test_point_budget_checked_before_any_allocation(self, monkeypatch, dim, points):
+        # 60000 per axis takes the tabulated walk, 10**6 the pointwise one;
+        # 10**12 and 10**6 would exhaust memory if a walk allocated before the check
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+        p = generate_polynomial(seed=7100 + dim, dim=dim, n_terms=3, radius=2.0,
+                                min_gap=0.5)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=points)
+        with pytest.raises(BudgetExceededError):
+            strip_integral_bound(FunctionSource.from_poly(p), sigma=exact_type(p), s=0.5,
+                                 quad=q, norm_value=1.0, min_half_width=50.0)
 
     def test_exp_guard_on_shift(self):
         q = QuadratureSpec(half_width=50.0, points_per_axis=64)
