@@ -107,8 +107,8 @@ class TestStripIntegralBound:
                     np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
                 assert abs(r.lhs - ref) <= 1e-13 * envelope
 
-    @pytest.mark.parametrize("dim,points", [(1, 4096), (2, 64), (3, 16),
-                                            (1, 10 ** 12), (2, 60000), (2, 10 ** 6)])
+    @pytest.mark.parametrize("dim,points", [(1, 10 ** 12), (2, 60000), (2, 10 ** 6),
+                                            (3, 64)])
     def test_point_budget_checked_before_any_allocation(self, monkeypatch, dim, points):
         # 60000 per axis takes the tabulated walk, 10**6 the pointwise one;
         # 10**12 and 10**6 would exhaust memory if a walk allocated before the check
