@@ -51,6 +51,10 @@ CANCELLATION_GUARD = 0.05
 # tolerances can undershoot; callers wanting a robust verdict pass this
 RECOMMENDED_CONTAINMENT_TOL = 0.1
 
+# grid nodes per chunk of the tabulated strip walk; its scratch buffers
+# hold this many rows of term products
+STRIP_CHUNK = 4096
+
 
 def strip_bound_constant(dim: int, norm_value: float) -> float:
     """Constant 2^{p+1} (1 + 2 * 3^p * norm) in the strip integral bound."""
@@ -100,21 +104,38 @@ def _shifted_poly_abs_integral(poly, s: float, half_width: float, n: int,
     Each term factors over the axes as c_m e^{-s lam_m1} prod_j
     e^{i x_j lam_mj}, so the per-axis factors are tabulated once on the n
     midpoint nodes and each grid node costs products instead of exp() of
-    every term.  The walk keeps tensor_sum's blocks and summation.
+    every term.  The walk keeps tensor_sum's blocks and summation.  Inside
+    a block the nodes go STRIP_CHUNK at a time through scratch buffers made
+    once per call, so the walk does not allocate, and page in, a block-sized
+    array of term products for every block.
     """
     p = poly.dim
-    total = grid_points([n] * p)
+    shape = [n] * p
+    total = grid_points(shape)
     guard_term_exponents(s * poly.freqs[:, 0])
     nodes = midpoint_nodes(-half_width, half_width, n)
     tables = [np.exp(1j * np.outer(nodes, poly.freqs[:, j])) for j in range(p)]
     tables[0] = tables[0] * (poly.coeffs * np.exp(-s * poly.freqs[:, 0]))
+    rows = min(STRIP_CHUNK, total)
+    prod = np.empty((rows, poly.n_terms), dtype=np.complex128)
+    factor = np.empty_like(prod)
+    dot = np.empty(rows, dtype=np.complex128)
+    values = np.empty(min(REDUCE_BLOCK, total))
 
     def fn(idx: np.ndarray) -> np.ndarray:
-        ix = np.unravel_index(idx, [n] * p)
-        prod = tables[0][ix[0]]
-        for j in range(1, p - 1):
-            prod *= tables[j][ix[j]]
-        return np.abs(np.einsum("ij,ij->i", prod, tables[-1][ix[-1]]))
+        for start in range(0, idx.shape[0], rows):
+            ix = np.unravel_index(idx[start:start + rows], shape)
+            m = ix[0].shape[0]
+            # mode="clip" writes straight into out; the indices are in range
+            np.take(tables[0], ix[0], axis=0, out=prod[:m], mode="clip")
+            for j in range(1, p - 1):
+                np.take(tables[j], ix[j], axis=0, out=factor[:m], mode="clip")
+                np.multiply(prod[:m], factor[:m], out=prod[:m])
+            np.take(tables[-1], ix[-1], axis=0, out=factor[:m], mode="clip")
+            np.einsum("ij,ij->i", prod[:m], factor[:m], out=dot[:m])
+            np.abs(dot[:m], out=values[start:start + m])
+        # the next block overwrites values; index_sum has reduced it by then
+        return values[:idx.shape[0]]
 
     return index_sum(fn, total, summation) * math.prod([2.0 * half_width / n] * p)
 

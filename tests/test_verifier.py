@@ -1,10 +1,12 @@
 """Strip integral bound, contour closure, edge decay, and the full verdict."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from apspec import verifier
 from apspec import (
     BudgetExceededError,
     EvaluationRangeError,
@@ -27,7 +29,7 @@ from apspec import (
     verify_spectral_containment,
 )
 from apspec.meanvalue import SpectrumEntry, SpectrumReport
-from apspec.quadrature import BUDGET_ENV_VAR, tensor_integral
+from apspec.quadrature import BUDGET_ENV_VAR, REDUCE_BLOCK, tensor_integral
 from apspec.verifier import _default_candidates, _horizontal_edges
 
 
@@ -106,6 +108,36 @@ class TestStripIntegralBound:
                 envelope = (2.0 * T) ** dim * float(np.sum(
                     np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
                 assert abs(r.lhs - ref) <= 1e-13 * envelope
+
+    @pytest.mark.parametrize("dim,points", [(2, 300), (3, 41)])
+    def test_polynomial_walk_independent_of_chunk_size(self, monkeypatch, dim, points):
+        # chunks only split the node values of a block, so the sum is bitwise
+        # the same for any chunk size; the grids span two blocks
+        p = generate_polynomial(seed=7200 + dim, dim=dim, n_terms=4, radius=2.0,
+                                min_gap=0.5)
+        results = []
+        for chunk in (1000, verifier.STRIP_CHUNK, REDUCE_BLOCK):
+            monkeypatch.setattr(verifier, "STRIP_CHUNK", chunk)
+            for summation in ("compensated", "naive"):
+                results.append(verifier._shifted_poly_abs_integral(p, 0.5, 50.0, points,
+                                                                   summation))
+        assert results[0::2] == [results[0]] * 3
+        assert results[1::2] == [results[1]] * 3
+
+    @pytest.mark.parametrize("dim,points", [(2, 512), (3, 96)])
+    def test_polynomial_walk_memory_below_one_block(self, dim, points):
+        # the walk reuses chunk-sized scratch buffers, so its traced peak stays
+        # below a single block of term products (block-sized temporaries peak
+        # near 13 MB here)
+        p = generate_polynomial(seed=11, dim=dim, n_terms=5, radius=2.0,
+                                min_gap=0.5)
+        tracemalloc.start()
+        try:
+            verifier._shifted_poly_abs_integral(p, 0.5, 50.0, points, "compensated")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < REDUCE_BLOCK * p.n_terms * np.dtype(np.complex128).itemsize
 
     @pytest.mark.parametrize("dim,points", [(1, 10 ** 12), (2, 60000), (2, 10 ** 6),
                                             (3, 64)])
