@@ -178,14 +178,15 @@ def cmd_contour(args) -> int:
 
 def cmd_verify(args) -> int:
     source = parse_source(args.input)
-    points = args.points
+    points = _resolve_points(args, source.dim)
+    strip_half_width = max(50.0, args.T0)
     config = VerifyConfig(
         scan_half_width=DEFAULTS["scan_half_width"],
         scan_points=points,
         threshold=args.threshold,
         tol=args.tol,
         strip_s=(args.s,),
-        strip_half_widths=(max(50.0, args.T0),),
+        strip_half_widths=(strip_half_width,),
         strip_points=points,
         eta=args.eta,
         y1_values=tuple(args.y1 * 2 ** k for k in range(4)),
@@ -193,6 +194,7 @@ def cmd_verify(args) -> int:
     report = verify_spectral_containment(source, config)
     payload = {
         "run": _echo(args, "verify", {"T0": args.T0, "points": points,
+                                      "strip_half_width": strip_half_width,
                                       "threshold": args.threshold,
                                       "tol": report.tol, "s": args.s,
                                       "eta": args.eta, "y1": args.y1}),

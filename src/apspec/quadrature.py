@@ -41,8 +41,7 @@ class QuadratureSpec:
             raise PreconditionError("half_width must be positive, got %r" % (self.half_width,))
         if self.points_per_axis < 2:
             raise PreconditionError("points_per_axis must be >= 2, got %r" % (self.points_per_axis,))
-        if self.summation not in (COMPENSATED, NAIVE):
-            raise PreconditionError("summation must be %r or %r" % (COMPENSATED, NAIVE))
+        check_summation(self.summation)
 
 
 @dataclass(frozen=True)
@@ -69,6 +68,13 @@ class LadderSpec:
 
     def half_widths(self) -> np.ndarray:
         return self.base * np.exp2(np.arange(self.levels))
+
+
+def check_summation(summation: str):
+    """Reject any summation name other than COMPENSATED or NAIVE."""
+    if summation not in (COMPENSATED, NAIVE):
+        raise PreconditionError("summation must be %r or %r, got %r"
+                                % (COMPENSATED, NAIVE, summation))
 
 
 def point_budget() -> int:
@@ -136,6 +142,7 @@ def reduce_in_blocks(partials: Sequence, summation: str):
     Partials may be scalars or equal-shape arrays; arrays combine
     elementwise.
     """
+    check_summation(summation)
     if summation == NAIVE:
         total = partials[0]
         for p in partials[1:]:
@@ -172,6 +179,7 @@ def index_sum(fn: Callable[[np.ndarray], np.ndarray], total: int,
     the same output forms as tensor_sum; blocks, their reduction and their
     combination are those of tensor_sum, which walks its grid through here.
     """
+    check_summation(summation)
     partials = []
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)

@@ -221,15 +221,34 @@ def _rest_axes(half_width: float, dim: int, rest_points: int):
     return [(-half_width, half_width, rest_points)] * (dim - 1)
 
 
+def _term_box_integrals(exponents: np.ndarray, axes, summation: str) -> np.ndarray:
+    """Per-term midpoint integrals prod_j int e^{a_mj t_j} dt_j over a box.
+
+    exponents is a (k, p) complex matrix with one column per axis.  Each
+    term's integrand factors over the axes, so its sum over the tensor grid
+    is the product of its p one-axis sums on the same nodes; each factor is
+    one one-axis tensor_integral with (k, n) block values.  The full grid
+    is never built, but its size is still held to the point budget.
+    """
+    grid_points([n for (_, _, n) in axes])
+    result = np.ones(exponents.shape[0], dtype=np.complex128)
+    for a, axis in zip(exponents.T, axes):
+        def fn(coords: np.ndarray, a=a) -> np.ndarray:
+            return np.exp(np.outer(a, coords[:, 0]))
+
+        result = result * tensor_integral(fn, [axis], summation)
+    return result
+
+
 def _horizontal_edges(source: FunctionSource, omega: float, half_width: float,
                       heights, x1_points: int, rest_points: int,
                       summation: str) -> np.ndarray:
     """int f(x1 + iy, x') e^{i omega (x1 + iy)} dx over the box, at each height y.
 
     For a polynomial the integrand is sum_m c_m e^{-(lam_m1 + omega) y}
-    e^{i <x, lam_m> + i omega x1}; the grid sums of the height-free factors
-    come from one walk and each height is a weighted sum of them.  Other
-    sources are walked once per height.
+    e^{i <x, lam_m> + i omega x1}; the box integrals of the height-free
+    factors are computed once and each height is a weighted sum of them.
+    Other sources are walked once per height.
     """
     p = source.dim
     axes = [(-half_width, half_width, x1_points)] + _rest_axes(half_width, p, rest_points)
@@ -239,11 +258,7 @@ def _horizontal_edges(source: FunctionSource, omega: float, half_width: float,
         guard_term_exponents(np.outer(heights, poly.freqs[:, 0]))
         shifted = poly.freqs.copy()
         shifted[:, 0] += omega
-
-        def fn_terms(coords: np.ndarray) -> np.ndarray:
-            return np.exp(1j * (shifted @ coords.T))
-
-        sums = tensor_integral(fn_terms, axes, summation)
+        sums = _term_box_integrals(1j * shifted, axes, summation)
         weights = np.exp(-np.outer(heights, shifted[:, 0])) * (poly.coeffs * sums)
         return weights.sum(axis=1)
 
@@ -261,13 +276,29 @@ def _horizontal_edges(source: FunctionSource, omega: float, half_width: float,
 def _side_integral(source: FunctionSource, omega: float, half_width: float,
                    y1: float, side_points: int, rest_points: int,
                    summation: str, edge_sign: float) -> complex:
-    """i int_0^{y1} f(sign*T + is, x') e^{i sign T omega - s omega} dx' ds."""
+    """i int_0^{y1} f(sign*T + is, x') e^{i sign T omega - s omega} dx' ds.
+
+    For a polynomial the integrand is sum_m c_m e^{i lam_m1 x1}
+    e^{-(lam_m1 + omega) s} e^{i <x', lam_m'>} times the phase, and its box
+    integral comes from per-term axis sums; other sources are walked
+    pointwise.
+    """
     if y1 == 0.0:
         return 0.0 + 0.0j
     p = source.dim
     axes = [(0.0, y1, side_points)] + _rest_axes(half_width, p, rest_points)
     x1 = edge_sign * half_width
     phase = 1j * math.cos(omega * x1) - math.sin(omega * x1)  # i * e^{i omega x1}
+    if source.kind == POLY:
+        poly = source.poly
+        # with omega > 0, |lam_m1 + omega| s <= y1 |lam_m1| whenever the
+        # factor grows, so this guard covers e^{-(lam_m1 + omega) s} too
+        guard_term_exponents(y1 * poly.freqs[:, 0])
+        exponents = 1j * poly.freqs
+        exponents[:, 0] = -(poly.freqs[:, 0] + omega)
+        sums = _term_box_integrals(exponents, axes, summation)
+        terms = poly.coeffs * np.exp(1j * x1 * poly.freqs[:, 0]) * sums
+        return complex(terms.sum() * phase)
 
     def fn(coords: np.ndarray) -> np.ndarray:
         z = np.empty((coords.shape[0], p), dtype=np.complex128)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import apspec
+from apspec.quadrature import default_points_per_axis
 
 # the CLI subprocess imports the same apspec tree as this test process,
 # installed or not
@@ -95,6 +96,16 @@ class TestHappyPaths:
         csv_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert csv_lines[0] == "check,lhs,rhs,margin,passed"
         assert csv_lines[1].startswith("containment,")
+
+
+    def test_verify_echoes_resolved_strip_parameters(self, two_term):
+        # the strip box is widened to 50 and the grid follows the dimension
+        r = run_cli("verify", "--input", two_term, "--T0", "10")
+        assert r.returncode == 0
+        params = json.loads(r.stdout)["run"]["parameters"]
+        assert params["T0"] == 10.0
+        assert params["strip_half_width"] == 50.0
+        assert params["points"] == default_points_per_axis(1)
 
 
 class TestSpectrumValues:

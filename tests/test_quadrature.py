@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from apspec import BudgetExceededError, LadderSpec, PreconditionError, QuadratureSpec
 from apspec.quadrature import (
     BUDGET_ENV_VAR,
+    COMPENSATED,
     KahanAccumulator,
     check_budget,
     default_points_per_axis,
@@ -70,7 +71,18 @@ class TestSummation:
 
     def test_reduce_in_blocks_plain(self):
         parts = np.arange(10.0)
-        assert reduce_in_blocks(parts, "plain") == pytest.approx(45.0)
+        assert reduce_in_blocks(parts, COMPENSATED) == pytest.approx(45.0)
+
+    def test_unknown_summation_name_rejected(self):
+        axes = [(-1.0, 1.0, 8)]
+        ones = lambda c: np.ones(c.shape[0])
+        with pytest.raises(PreconditionError, match="plain"):
+            reduce_in_blocks(np.arange(10.0), "plain")
+        with pytest.raises(PreconditionError, match="plain"):
+            index_sum(lambda idx: np.ones(idx.shape[0]), 8, "plain")
+        for walk in (tensor_sum, tensor_mean, tensor_integral):
+            with pytest.raises(PreconditionError, match="plain"):
+                walk(ones, axes, "plain")
 
 
 class TestTensorRoutines:

@@ -338,6 +338,74 @@ class TestHorizontalEdges:
                                   quad=q, side_points=64, rest_points=4)
 
 
+def reference_side(source, omega, half_width, y1, side_points, rest_points, edge_sign,
+                   summation="compensated"):
+    """One vertical edge of the contour by a grid walk evaluating f pointwise."""
+    axes = ([(0.0, y1, side_points)]
+            + [(-half_width, half_width, rest_points)] * (source.dim - 1))
+    x1 = edge_sign * half_width
+
+    def fn(coords):
+        z = coords.astype(np.complex128)
+        z[:, 0] = x1 + 1j * coords[:, 0]
+        return eval_complex(source, z) * np.exp(1j * omega * z[:, 0])
+
+    return complex(1j * tensor_integral(fn, axes, summation))
+
+
+def side_envelope(poly, omega, half_width, y1):
+    """l1 term envelope (2T)^{p-1} sum_m |c_m| (1 - e^{-r_m y1}) / r_m, r_m = lam_m1 + omega."""
+    rates = poly.freqs[:, 0] + omega
+    return (2.0 * half_width) ** (poly.dim - 1) * float(
+        np.sum(np.abs(poly.coeffs) * -np.expm1(-rates * y1) / rates))
+
+
+class TestSideEdges:
+    # per-term axis sums against the pointwise walk of each vertical edge
+    T_BY_DIM = {1: 4.0, 2: 3.0, 3: 2.0}
+    REL_TOL = 1e-13
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("y1", [0.5, 1.0, 4.0])
+    def test_side_edges_match_pointwise_walk(self, y1, summation):
+        for i in range(6):
+            dim = 1 + i % 3
+            p = generate_polynomial(seed=7300 + i, dim=dim, n_terms=2 + i % 4,
+                                    radius=2.0, min_gap=0.5)
+            f = FunctionSource.from_poly(p)
+            T = self.T_BY_DIM[dim]
+            sigma, eta = exact_type(p), 0.5
+            omega = sigma + eta
+            rest = 8 if dim > 1 else 1
+            q = QuadratureSpec(half_width=T, points_per_axis=256, summation=summation)
+            d = contour_decomposition(f, sigma=sigma, eta=eta, half_width=T, y1=y1,
+                                      quad=q, side_points=256, rest_points=rest)
+            envelope = side_envelope(p, omega, T, y1)
+            for edge, sign in ((d.left_edge, -1.0), (d.right_edge, +1.0)):
+                ref = reference_side(f, omega, T, y1, 256, rest, sign, summation)
+                assert abs(edge - ref) <= self.REL_TOL * envelope
+
+    def test_point_budget_covers_full_edge_grid(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+        p = generate_polynomial(seed=7400, dim=3, n_terms=3, radius=2.0, min_gap=0.5)
+        f = FunctionSource.from_poly(p)
+        sigma = exact_type(p)
+        q = QuadratureSpec(half_width=4.0, points_per_axis=1024)
+        with pytest.raises(BudgetExceededError):
+            top_edge_decay_check(f, sigma=sigma, eta=0.5, half_width=4.0,
+                                 y1_values=(1.0, 2.0), quad=q, rest_points=16,
+                                 norm_value=1.0)
+        with pytest.raises(BudgetExceededError):
+            contour_decomposition(f, sigma=sigma, eta=0.5, half_width=4.0, y1=1.0, quad=q,
+                                  side_points=2048, rest_points=16)
+        # bottom and top fit (8 x 8 x 8); every side axis fits, the 16 x 8 x 8
+        # side grid does not
+        q = QuadratureSpec(half_width=4.0, points_per_axis=8)
+        with pytest.raises(BudgetExceededError):
+            contour_decomposition(f, sigma=sigma, eta=0.5, half_width=4.0, y1=1.0, quad=q,
+                                  side_points=16, rest_points=8)
+
+
 class TestTopEdgeDecay:
     def test_single_exponential_bounds_and_ratios(self):
         f = single_exp([0.3])
