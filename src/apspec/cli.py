@@ -188,6 +188,7 @@ def cmd_verify(args) -> int:
         strip_s=(args.s,),
         strip_half_widths=(strip_half_width,),
         strip_points=points,
+        norm_points=points,
         eta=args.eta,
         y1_values=tuple(args.y1 * 2 ** k for k in range(4)),
     )

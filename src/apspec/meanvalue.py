@@ -13,6 +13,7 @@ which serves both as the fast path and as the oracle for the grid route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,19 @@ from .core import (
     TrigPolynomial,
     coefficient_l1_bound,
     eval_real,
+    guard_term_exponents,
     rotate,
     sinc,
 )
 from .errors import DimensionMismatchError, PreconditionError
 from .quadrature import (
     COMPENSATED,
+    REDUCE_BLOCK,
     LadderSpec,
     QuadratureSpec,
+    grid_points,
+    index_sum,
+    midpoint_nodes,
     symmetric_axes,
     tensor_mean,
 )
@@ -87,9 +93,93 @@ class RotationIdentityResult:
     gap: float
 
 
+def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
+                      summation: str = COMPENSATED) -> float:
+    """Plain sum of |f(x1 + is, x')| over the n^p midpoint grid of [-T, T]^p.
+
+    Each term factors over the axes as c_m e^{-s lam_m1} prod_j e^{i x_j lam_mj}.
+    With Lead[r, m] the product of the leading-axis factors at row r of the
+    grid and Last[m, c] = e^{i x_p lam_mp}, the node values are the matrix
+    product Lead @ Last, so only k x n exponentials per axis are computed.
+    One variable is split into coarse x fine nodes, x = (lo + b n_f h) +
+    (j + 1/2) h with n_f = ceil(sqrt(n)), truncated to n nodes.  The walk
+    keeps index_sum's blocks and summation; each block multiplies only the
+    rows it touches into scratch buffers made once per call, so no product
+    outgrows one block plus two rows.
+    """
+    p = poly.dim
+    total = grid_points([n] * p)
+    damp = s * poly.freqs[:, 0]
+    guard_term_exponents(damp)
+    weights = poly.coeffs * np.exp(-damp)
+    if p == 1:
+        cols = math.isqrt(n - 1) + 1
+        row_shape = [-(-n // cols)]
+        h = 2.0 * half_width / n
+        coarse = -half_width + np.arange(row_shape[0]) * (cols * h)
+        row_tables = [np.exp(1j * np.outer(coarse, poly.freqs[:, 0]))]
+        last = np.exp(1j * np.outer(poly.freqs[:, 0], (np.arange(cols) + 0.5) * h))
+    else:
+        cols = n
+        row_shape = [n] * (p - 1)
+        nodes = midpoint_nodes(-half_width, half_width, n)
+        row_tables = [np.exp(1j * np.outer(nodes, poly.freqs[:, j])) for j in range(p - 1)]
+        last = np.exp(1j * np.outer(poly.freqs[:, -1], nodes))
+    row_tables[0] = row_tables[0] * weights
+    block = min(REDUCE_BLOCK, total)
+    span = min(math.prod(row_shape), (block - 1) // cols + 2)
+    values = np.empty(span * cols if cols <= block else block, dtype=np.complex128)
+    magnitudes = np.empty(block)
+    lead = np.empty((span, poly.n_terms), dtype=np.complex128)
+    factor = np.empty_like(lead)
+
+    def lead_rows(r0: int, r1: int) -> np.ndarray:
+        if p <= 2:
+            return row_tables[0][r0:r1]
+        ix = np.unravel_index(np.arange(r0, r1), row_shape)
+        m = r1 - r0
+        # mode="clip" writes straight into out; the indices are in range
+        np.take(row_tables[0], ix[0], axis=0, out=lead[:m], mode="clip")
+        for table, i in zip(row_tables[1:], ix[1:]):
+            np.take(table, i, axis=0, out=factor[:m], mode="clip")
+            np.multiply(lead[:m], factor[:m], out=lead[:m])
+        return lead[:m]
+
+    def fn(idx: np.ndarray) -> np.ndarray:
+        start = int(idx[0])
+        m = idx.shape[0]
+        if cols <= block:
+            r0, r1 = start // cols, (start + m - 1) // cols + 1
+            rows = values[:(r1 - r0) * cols]
+            np.matmul(lead_rows(r0, r1), last, out=rows.reshape(r1 - r0, cols))
+            block_values = rows[start - r0 * cols:start - r0 * cols + m]
+        else:
+            # rows longer than a block: each block covers pieces of at most two
+            done = 0
+            while done < m:
+                r, c = divmod(start + done, cols)
+                width = min(cols - c, m - done)
+                np.matmul(lead_rows(r, r + 1), last[:, c:c + width],
+                          out=values[done:done + width].reshape(1, width))
+                done += width
+            block_values = values[:m]
+        # the next block overwrites the buffers; index_sum has reduced them by then
+        return np.abs(block_values, out=magnitudes[:m])
+
+    return float(index_sum(fn, total, summation, REDUCE_BLOCK))
+
+
 def box_average_abs(source: FunctionSource, quad: QuadratureSpec) -> float:
-    """Normalized mean of |f| over [-T, T]^p on the midpoint grid."""
-    axes = symmetric_axes(quad.half_width, quad.points_per_axis, source.dim)
+    """Normalized mean of |f| over [-T, T]^p on the midpoint grid.
+
+    Polynomials take poly_abs_grid_sum (per-axis tables and a matrix
+    product); sinc products are evaluated node by node.
+    """
+    n = quad.points_per_axis
+    if source.kind == POLY:
+        return poly_abs_grid_sum(source.poly, 0.0, quad.half_width, n,
+                                 quad.summation) / n ** source.dim
+    axes = symmetric_axes(quad.half_width, n, source.dim)
 
     def fn(coords: np.ndarray) -> np.ndarray:
         return np.abs(eval_real(source, coords))

@@ -26,16 +26,14 @@ from .errors import ApspecError, PreconditionError
 from .meanvalue import (
     SpectrumReport,
     besicovitch_seminorm,
+    poly_abs_grid_sum,
     spectrum_scan,
 )
 from .quadrature import (
-    REDUCE_BLOCK,
     LadderSpec,
     QuadratureSpec,
     default_points_per_axis,
     grid_points,
-    index_sum,
-    midpoint_nodes,
     tensor_integral,
 )
 
@@ -50,10 +48,6 @@ CANCELLATION_GUARD = 0.05
 # and its residual does not see cross-term contamination, so auto-derived
 # tolerances can undershoot; callers wanting a robust verdict pass this
 RECOMMENDED_CONTAINMENT_TOL = 0.1
-
-# grid nodes per chunk of the tabulated strip walk; its scratch buffers
-# hold this many rows of term products
-STRIP_CHUNK = 4096
 
 
 def strip_bound_constant(dim: int, norm_value: float) -> float:
@@ -97,49 +91,6 @@ class StripBoundResult:
         return make_check(context, self.lhs, self.rhs, self.tolerance)
 
 
-def _shifted_poly_abs_integral(poly, s: float, half_width: float, n: int,
-                               summation: str) -> float:
-    """int |f(x1 + is, x')| dx over [-half_width, half_width]^p for a polynomial f.
-
-    Each term factors over the axes as c_m e^{-s lam_m1} prod_j
-    e^{i x_j lam_mj}, so the per-axis factors are tabulated once on the n
-    midpoint nodes and each grid node costs products instead of exp() of
-    every term.  The walk keeps tensor_sum's blocks and summation.  Inside
-    a block the nodes go STRIP_CHUNK at a time through scratch buffers made
-    once per call, so the walk does not allocate, and page in, a block-sized
-    array of term products for every block.
-    """
-    p = poly.dim
-    shape = [n] * p
-    total = grid_points(shape)
-    guard_term_exponents(s * poly.freqs[:, 0])
-    nodes = midpoint_nodes(-half_width, half_width, n)
-    tables = [np.exp(1j * np.outer(nodes, poly.freqs[:, j])) for j in range(p)]
-    tables[0] = tables[0] * (poly.coeffs * np.exp(-s * poly.freqs[:, 0]))
-    rows = min(STRIP_CHUNK, total)
-    prod = np.empty((rows, poly.n_terms), dtype=np.complex128)
-    factor = np.empty_like(prod)
-    dot = np.empty(rows, dtype=np.complex128)
-    values = np.empty(min(REDUCE_BLOCK, total))
-
-    def fn(idx: np.ndarray) -> np.ndarray:
-        for start in range(0, idx.shape[0], rows):
-            ix = np.unravel_index(idx[start:start + rows], shape)
-            m = ix[0].shape[0]
-            # mode="clip" writes straight into out; the indices are in range
-            np.take(tables[0], ix[0], axis=0, out=prod[:m], mode="clip")
-            for j in range(1, p - 1):
-                np.take(tables[j], ix[j], axis=0, out=factor[:m], mode="clip")
-                np.multiply(prod[:m], factor[:m], out=prod[:m])
-            np.take(tables[-1], ix[-1], axis=0, out=factor[:m], mode="clip")
-            np.einsum("ij,ij->i", prod[:m], factor[:m], out=dot[:m])
-            np.abs(dot[:m], out=values[start:start + m])
-        # the next block overwrites values; index_sum has reduced it by then
-        return values[:idx.shape[0]]
-
-    return index_sum(fn, total, summation) * math.prod([2.0 * half_width / n] * p)
-
-
 def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
                          quad: QuadratureSpec, *,
                          s_max: float = 1.0,
@@ -167,11 +118,9 @@ def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
     p = source.dim
     half_width = quad.half_width
     n = quad.points_per_axis
-    # a table pays off once its entries are reused along another axis; an
-    # axis longer than one block is walked pointwise, so no table outgrows
-    # the values of one block
-    if source.kind == POLY and p >= 2 and n <= REDUCE_BLOCK:
-        raw = _shifted_poly_abs_integral(source.poly, s, half_width, n, quad.summation)
+    if source.kind == POLY:
+        cell = math.prod([2.0 * half_width / n] * p)
+        raw = poly_abs_grid_sum(source.poly, s, half_width, n, quad.summation) * cell
     else:
         axes = [(-half_width, half_width, n)] * p
         shift = np.zeros(p)

@@ -9,6 +9,7 @@ import pytest
 
 import apspec
 from apspec.quadrature import default_points_per_axis
+from apspec.verifier import NORM_SAFETY
 
 # the CLI subprocess imports the same apspec tree as this test process,
 # installed or not
@@ -106,6 +107,24 @@ class TestHappyPaths:
         assert params["T0"] == 10.0
         assert params["strip_half_width"] == 50.0
         assert params["points"] == default_points_per_axis(1)
+
+    def test_verify_norm_estimate_follows_points(self, two_term):
+        # --points also sets the seminorm grid, so the reported estimate is the
+        # safety-inflated ladder value at the echoed resolution
+        source = apspec.FunctionSource.from_poly(apspec.TrigPolynomial.from_terms(
+            1, [([1.8], 0.6), ([2.0], 0.7)]))
+        estimates = []
+        for points in (2048, 8192):
+            r = run_cli("verify", "--input", two_term, "--points", str(points))
+            assert r.returncode == 0
+            doc = json.loads(r.stdout)
+            assert doc["run"]["parameters"]["points"] == points
+            ladder = apspec.LadderSpec()
+            quad = apspec.QuadratureSpec(half_width=ladder.base, points_per_axis=points)
+            expected = NORM_SAFETY * apspec.besicovitch_seminorm(source, ladder, quad).value
+            estimates.append(doc["verification"]["norm_estimate"])
+            assert estimates[-1] == pytest.approx(expected, rel=1e-12)
+        assert estimates[0] != estimates[1]
 
 
 class TestSpectrumValues:

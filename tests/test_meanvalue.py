@@ -16,13 +16,17 @@ from apspec import (
     besicovitch_seminorm,
     box_average_abs,
     crosstalk_floor,
+    eval_complex,
+    eval_real,
     fourier_coeff_closed_form,
     fourier_coeff_quadrature,
     generate_polynomial,
     rotation_invariance_check,
     spectrum_scan,
 )
+from apspec import meanvalue
 from apspec.meanvalue import QUADRATURE_FIT_CONSTANT, quadrature_error_scale
+from apspec.quadrature import symmetric_axes, tensor_mean, tensor_sum
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -48,6 +52,42 @@ class TestBoxAverage:
         f = FunctionSource.from_poly(poly(1, [[1.0]], [0.0]))
         q = QuadratureSpec(half_width=50.0, points_per_axis=512)
         assert box_average_abs(f, q) == 0.0
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("dim,points", [(1, 4096), (1, 100003), (2, 300), (3, 41)])
+    def test_polynomial_kernel_matches_pointwise_walk(self, dim, points, summation):
+        # per-axis tables and a matrix product against |f| evaluated node by
+        # node on the same blocks.  100003 is prime, so its 317 x 317 coarse x
+        # fine split is truncated; the 2-D 300 and 3-D 41 grids span two
+        # blocks with a row straddling the block boundary
+        for i, T in enumerate((50.0, 137.0, 400.0)):
+            p = generate_polynomial(seed=8100 + 10 * dim + i, dim=dim, n_terms=1 + 2 * i,
+                                    radius=2.0, min_gap=0.5)
+            f = FunctionSource.from_poly(p)
+            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            ref = tensor_mean(lambda c: np.abs(eval_real(f, c)),
+                              symmetric_axes(T, points, dim), summation)
+            assert abs(box_average_abs(f, q) - ref) <= 1e-13 * p.coefficient_l1()
+
+    @pytest.mark.parametrize("dim,points", [(1, 10000), (2, 64)])
+    def test_polynomial_kernel_rows_longer_than_block(self, monkeypatch, dim, points):
+        # with a 50-node block the 100-node fine axis of 1-D 10000 and the
+        # 64-node last axis of 2-D 64 are longer than a block, so each block
+        # multiplies pieces of at most two rows; the reference walks the same
+        # 50-node blocks
+        monkeypatch.setattr(meanvalue, "REDUCE_BLOCK", 50)
+        p = generate_polynomial(seed=8200 + dim, dim=dim, n_terms=4, radius=2.0,
+                                min_gap=0.5)
+        f = FunctionSource.from_poly(p)
+        shift = np.zeros(dim)
+        shift[0] = 0.5
+        for summation in ("compensated", "naive"):
+            got = meanvalue.poly_abs_grid_sum(p, 0.5, 60.0, points, summation)
+            ref = tensor_sum(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
+                             symmetric_axes(60.0, points, dim), summation, block=50)
+            envelope = points ** dim * float(np.sum(np.abs(p.coeffs)
+                                                    * np.exp(-0.5 * p.freqs[:, 0])))
+            assert abs(got - ref) <= 1e-13 * envelope
 
 
 class TestSeminormLadder:

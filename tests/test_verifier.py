@@ -6,16 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apspec import verifier
 from apspec import (
     BudgetExceededError,
     EvaluationRangeError,
     FunctionSource,
+    LadderSpec,
     PreconditionError,
     QuadratureSpec,
     TrigPolynomial,
     VerificationAborted,
     VerifyConfig,
+    besicovitch_seminorm,
+    box_average_abs,
     containment_verdict,
     contour_decomposition,
     eval_complex,
@@ -28,7 +30,7 @@ from apspec import (
     top_edge_decay_check,
     verify_spectral_containment,
 )
-from apspec.meanvalue import SpectrumEntry, SpectrumReport
+from apspec.meanvalue import SpectrumEntry, SpectrumReport, poly_abs_grid_sum
 from apspec.quadrature import BUDGET_ENV_VAR, REDUCE_BLOCK, tensor_integral
 from apspec.verifier import _default_candidates, _horizontal_edges
 
@@ -85,8 +87,8 @@ class TestStripIntegralBound:
 
     @pytest.mark.parametrize("summation", ["compensated", "naive"])
     def test_polynomial_walk_matches_pointwise_walk(self, summation):
-        # the tabulated per-axis factors (2-3 variables; 1 variable is walked
-        # pointwise) against |f| evaluated node by node
+        # the table-and-matmul kernel (every dimension; one variable is split
+        # into coarse x fine nodes) against |f| evaluated node by node
         npts = {1: 4096, 2: 256, 3: 48}
         for i in range(6):
             dim = 1 + i % 3
@@ -109,31 +111,16 @@ class TestStripIntegralBound:
                     np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
                 assert abs(r.lhs - ref) <= 1e-13 * envelope
 
-    @pytest.mark.parametrize("dim,points", [(2, 300), (3, 41)])
-    def test_polynomial_walk_independent_of_chunk_size(self, monkeypatch, dim, points):
-        # chunks only split the node values of a block, so the sum is bitwise
-        # the same for any chunk size; the grids span two blocks
-        p = generate_polynomial(seed=7200 + dim, dim=dim, n_terms=4, radius=2.0,
-                                min_gap=0.5)
-        results = []
-        for chunk in (1000, verifier.STRIP_CHUNK, REDUCE_BLOCK):
-            monkeypatch.setattr(verifier, "STRIP_CHUNK", chunk)
-            for summation in ("compensated", "naive"):
-                results.append(verifier._shifted_poly_abs_integral(p, 0.5, 50.0, points,
-                                                                   summation))
-        assert results[0::2] == [results[0]] * 3
-        assert results[1::2] == [results[1]] * 3
-
-    @pytest.mark.parametrize("dim,points", [(2, 512), (3, 96)])
+    @pytest.mark.parametrize("dim,points", [(1, 10 ** 6), (2, 512), (3, 96)])
     def test_polynomial_walk_memory_below_one_block(self, dim, points):
-        # the walk reuses chunk-sized scratch buffers, so its traced peak stays
-        # below a single block of term products (block-sized temporaries peak
-        # near 13 MB here)
+        # the kernel multiplies each block's rows into scratch buffers made
+        # once per call, so its traced peak stays below a single block of term
+        # products (block-sized temporaries peak near 13 MB here)
         p = generate_polynomial(seed=11, dim=dim, n_terms=5, radius=2.0,
                                 min_gap=0.5)
         tracemalloc.start()
         try:
-            verifier._shifted_poly_abs_integral(p, 0.5, 50.0, points, "compensated")
+            poly_abs_grid_sum(p, 0.5, 50.0, points, "compensated")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -142,15 +129,21 @@ class TestStripIntegralBound:
     @pytest.mark.parametrize("dim,points", [(1, 10 ** 12), (2, 60000), (2, 10 ** 6),
                                             (3, 64)])
     def test_point_budget_checked_before_any_allocation(self, monkeypatch, dim, points):
-        # 60000 per axis takes the tabulated walk, 10**6 the pointwise one;
-        # 10**12 and 10**6 would exhaust memory if a walk allocated before the check
+        # the strip, the box mean and the seminorm ladder check the full grid
+        # against the budget before any table is built; 10**12 and 10**6 per
+        # axis would exhaust memory if a walk allocated before the check
         monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
         p = generate_polynomial(seed=7100 + dim, dim=dim, n_terms=3, radius=2.0,
                                 min_gap=0.5)
+        f = FunctionSource.from_poly(p)
         q = QuadratureSpec(half_width=50.0, points_per_axis=points)
         with pytest.raises(BudgetExceededError):
-            strip_integral_bound(FunctionSource.from_poly(p), sigma=exact_type(p), s=0.5,
+            strip_integral_bound(f, sigma=exact_type(p), s=0.5,
                                  quad=q, norm_value=1.0, min_half_width=50.0)
+        with pytest.raises(BudgetExceededError):
+            box_average_abs(f, q)
+        with pytest.raises(BudgetExceededError):
+            besicovitch_seminorm(f, LadderSpec(), q)
 
     def test_exp_guard_on_shift(self):
         q = QuadratureSpec(half_width=50.0, points_per_axis=64)
