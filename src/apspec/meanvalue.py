@@ -9,6 +9,9 @@ average has the closed form
     a_T(lam) = sum_m c_m * prod_j sinc((lam_mj - lam_j) * T)
 
 which serves both as the fast path and as the oracle for the grid route.
+The grid route is the midpoint rule on the box, summed per axis: both
+source kinds factor over the coordinates, so each grid mean is a product
+of 1-D midpoint means.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from .quadrature import (
     REDUCE_BLOCK,
     LadderSpec,
     QuadratureSpec,
+    exp_axis_sums,
     grid_points,
     index_sum,
     midpoint_nodes,
     symmetric_axes,
     tensor_mean,
+    tensor_sum,
 )
 
 # Error model for the midpoint grid route against the closed form:
@@ -227,15 +232,44 @@ def fourier_coeff_closed_form(poly: TrigPolynomial, lam, half_width: float) -> c
     return complex(np.dot(factors, poly.coeffs))
 
 
-def fourier_coeff_quadrature(source: FunctionSource, lam, quad: QuadratureSpec) -> complex:
-    """Averaged coefficient by an honest midpoint sweep of the box."""
-    lam = _check_frequency(lam, source.dim)
-    axes = symmetric_axes(quad.half_width, quad.points_per_axis, source.dim)
+def _grid_coefficients(source: FunctionSource, candidates: np.ndarray,
+                       quad: QuadratureSpec) -> np.ndarray:
+    """Midpoint-rule averaged coefficients at each candidate, from per-axis sums.
+
+    Both source kinds factor over the axes, so each grid mean is a product
+    of 1-D means over the shared axis: for a polynomial
+    sum_m c_m prod_j mean_i e^{i (lam_mj - lam_j) x_i}, for a sinc product
+    A prod_j mean_i sinc(a x_i) e^{-i lam_j x_i}.  The full grid is checked
+    against the point budget before anything is built.
+    """
+    n = quad.points_per_axis
+    grid_points([n] * source.dim)
+    axis = (-quad.half_width, quad.half_width, n)
+    if source.kind == POLY:
+        poly = source.poly
+        offsets = poly.freqs[None, :, :] - candidates[:, None, :]
+        means = exp_axis_sums(1j * offsets.ravel(), axis, quad.summation) / n
+        return np.prod(means.reshape(offsets.shape), axis=2) @ poly.coeffs
+    # one row per (candidate, axis) pair; sinc is evaluated once per node
+    lams = candidates.ravel()
 
     def fn(coords: np.ndarray) -> np.ndarray:
-        return eval_real(source, coords) * np.exp(-1j * (coords @ lam))
+        x = coords[:, 0]
+        return sinc(source.scale * x) * np.exp(-1j * np.outer(lams, x))
 
-    return complex(tensor_mean(fn, axes, quad.summation))
+    means = tensor_sum(fn, [axis], quad.summation) / n
+    return source.amplitude * np.prod(means.reshape(candidates.shape), axis=1)
+
+
+def fourier_coeff_quadrature(source: FunctionSource, lam, quad: QuadratureSpec) -> complex:
+    """Averaged coefficient by the midpoint rule on the box, summed per axis.
+
+    The integrand of either source kind factors over the axes, so the grid
+    mean is a product of 1-D midpoint means (see _grid_coefficients); the
+    p-dimensional grid is never walked.
+    """
+    lam = _check_frequency(lam, source.dim)
+    return complex(_grid_coefficients(source, lam[None, :], quad)[0])
 
 
 def _closed_form_batch(poly: TrigPolynomial, candidates: np.ndarray, half_width: float) -> np.ndarray:
@@ -295,7 +329,7 @@ def spectrum_scan(source: FunctionSource, candidates, quad: QuadratureSpec,
         coeffs = _closed_form_batch(source.poly, cands, quad.half_width)
         method = "closed_form"
     else:
-        coeffs = np.array([fourier_coeff_quadrature(source, lam, quad) for lam in cands])
+        coeffs = _grid_coefficients(source, cands, quad)
         method = "quadrature"
     mags = np.abs(coeffs)
     keep = mags >= threshold

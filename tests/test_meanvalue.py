@@ -1,6 +1,7 @@
 """Box averages, the seminorm ladder, averaged coefficients, and spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apspec import (
+    BudgetExceededError,
     FunctionSource,
     LadderSpec,
     PreconditionError,
@@ -26,7 +28,7 @@ from apspec import (
 )
 from apspec import meanvalue
 from apspec.meanvalue import QUADRATURE_FIT_CONSTANT, quadrature_error_scale
-from apspec.quadrature import symmetric_axes, tensor_mean, tensor_sum
+from apspec.quadrature import BUDGET_ENV_VAR, symmetric_axes, tensor_mean, tensor_sum
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -170,6 +172,109 @@ class TestQuadratureCoefficient:
         bound = QUADRATURE_FIT_CONSTANT * p.coefficient_l1() * quadrature_error_scale(T, lam_max, n)
         assert gap <= bound
 
+
+def pointwise_coefficient(source, lam, T, points, summation):
+    """Grid mean of f(x) e^{-i<x, lam>}, evaluated node by node over the full grid."""
+    return tensor_mean(lambda c: eval_real(source, c) * np.exp(-1j * (c @ lam)),
+                       symmetric_axes(T, points, source.dim), summation)
+
+
+# 100003 is prime and longer than REDUCE_BLOCK, so its coarse x fine split
+# leaves a partial row and the pointwise walk spans two blocks
+REFERENCE_GRIDS = [(1, 100003), (1, 4096), (1, 2), (1, 3), (2, 300), (3, 41)]
+
+
+class TestGridCoefficientRoutes:
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("dim,points", REFERENCE_GRIDS)
+    def test_polynomial_matches_pointwise_walk(self, dim, points, summation):
+        rng = np.random.default_rng(8300 + 10 * dim + points % 97)
+        for i, T in enumerate((50.0, 137.0, 400.0)):
+            p = generate_polynomial(seed=8300 + 10 * dim + i, dim=dim, n_terms=1 + 2 * i,
+                                    radius=2.0, min_gap=0.5)
+            f = FunctionSource.from_poly(p)
+            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            for lam in (p.freqs[-1], rng.uniform(-2.0, 2.0, dim)):
+                ref = pointwise_coefficient(f, lam, T, points, summation)
+                got = fourier_coeff_quadrature(f, lam, q)
+                assert abs(got - ref) <= 1e-13 * p.coefficient_l1()
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("dim,points", REFERENCE_GRIDS)
+    def test_sinc_product_matches_pointwise_walk(self, dim, points, summation):
+        rng = np.random.default_rng(8400 + 10 * dim + points % 97)
+        for T in (5.0, 50.0, 400.0):
+            scale = float(rng.uniform(0.5, 1.0))
+            amplitude = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+            f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
+            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            for lam in (np.zeros(dim), rng.uniform(-2.0 * scale, 2.0 * scale, dim)):
+                ref = pointwise_coefficient(f, lam, T, points, summation)
+                got = fourier_coeff_quadrature(f, lam, q)
+                assert abs(got - ref) <= 1e-13 * abs(amplitude)
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 4096, 50.0),
+                                              (1, 2, 0.5), (1, 3, 0.5), (2, 300, 10.0),
+                                              (3, 41, 5.0)])
+    def test_sinc_scan_matches_pointwise_walk(self, dim, points, T, summation):
+        # T is small enough on coarse grids that the cross-talk floor leaves
+        # some candidates detectable
+        rng = np.random.default_rng(8500 + 10 * dim + points % 97)
+        scale = float(rng.uniform(0.5, 1.0))
+        amplitude = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
+        q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+        cands = np.zeros((5, dim))
+        cands[1] = rng.uniform(-scale, scale, dim)
+        cands[2, 0] = 0.5 * scale
+        cands[3, 0] = scale * math.sqrt(dim) + 1.0
+        cands[4, 0] = -cands[3, 0]
+        threshold = 1.5 * crosstalk_floor(f, cands, q)
+        report = spectrum_scan(f, cands, q, threshold)
+        assert report.method == "quadrature"
+        refs = [pointwise_coefficient(f, c, T, points, summation) for c in cands]
+        want = sorted(tuple(c) for c, r in zip(cands, refs) if abs(r) >= threshold)
+        assert want
+        assert sorted(tuple(e.frequency) for e in report.entries) == want
+        for e in report.entries:
+            ref = refs[[tuple(c) for c in cands].index(tuple(e.frequency))]
+            assert abs(e.coefficient - ref) <= 1e-13 * abs(amplitude)
+
+    @pytest.mark.parametrize("dim,points", [(1, 10 ** 12), (3, 10 ** 4)])
+    def test_point_budget_checked_before_any_allocation(self, monkeypatch, dim, points):
+        # the full grid is checked against the budget before any per-axis
+        # table is built; 10**12 nodes on one axis would exhaust memory first
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+        p = generate_polynomial(seed=8600 + dim, dim=dim, n_terms=3, radius=2.0,
+                                min_gap=0.5)
+        s = FunctionSource.sinc_product(dim, scale=0.8)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=points)
+        lam = np.zeros(dim)
+        with pytest.raises(BudgetExceededError):
+            fourier_coeff_quadrature(FunctionSource.from_poly(p), lam, q)
+        with pytest.raises(BudgetExceededError):
+            fourier_coeff_quadrature(s, lam, q)
+        with pytest.raises(BudgetExceededError):
+            spectrum_scan(s, np.array([lam, lam + 3.0]), q, threshold=0.5)
+
+    @pytest.mark.parametrize("kind", ["poly", "sinc"])
+    def test_grid_never_materialised(self, monkeypatch, kind):
+        # 10**9 nodes: only per-axis tables of 1000 entries may be built
+        monkeypatch.setenv(BUDGET_ENV_VAR, str(10 ** 9))
+        if kind == "poly":
+            f = FunctionSource.from_poly(generate_polynomial(
+                seed=8700, dim=3, n_terms=5, radius=2.0, min_gap=0.5))
+        else:
+            f = FunctionSource.sinc_product(3, scale=0.8, amplitude=1.5)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=1000)
+        tracemalloc.start()
+        try:
+            fourier_coeff_quadrature(f, np.array([0.3, -0.2, 0.1]), q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 class TestCrosstalkFloor:
     def test_matches_hand_formula_for_polynomials(self):

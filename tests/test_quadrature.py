@@ -15,6 +15,7 @@ from apspec.quadrature import (
     KahanAccumulator,
     check_budget,
     default_points_per_axis,
+    exp_axis_sums,
     full_grid,
     grid_points,
     index_sum,
@@ -157,6 +158,31 @@ class TestTensorRoutines:
         assert grid.shape == (4, 2)
         assert np.allclose(grid[0], [0.0, 10.0])
         assert np.allclose(grid[1], [0.0, 20.0])
+
+
+class TestExpAxisSums:
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("kind", ["imaginary", "real", "mixed"])
+    @pytest.mark.parametrize("lo,hi", [(-50.0, 50.0), (0.0, 4.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65537, 100003])
+    def test_matches_direct_sum_over_midpoints(self, n, lo, hi, kind, summation):
+        # coarse x fine split against exp() at every midpoint.  3, 17, 101,
+        # 65537 and 100003 leave a partial last row; the direct sums over
+        # 65537 and 100003 nodes span two REDUCE_BLOCK blocks
+        rng = np.random.default_rng(n)
+        reach = max(abs(lo), abs(hi))
+        a = np.zeros(7, dtype=np.complex128)
+        if kind != "real":
+            a[1:] += 1j * rng.uniform(-4.0, 4.0, 6)
+        if kind != "imaginary":
+            a[1:] += rng.uniform(-8.0, 8.0, 6) / reach
+        nodes = midpoint_nodes(lo, hi, n)
+        ref = index_sum(lambda idx: np.exp(np.outer(a, nodes[idx])), n, summation)
+        got = exp_axis_sums(a, (lo, hi, n), summation)
+        scale = np.sum(np.abs(np.exp(np.outer(a, nodes))), axis=1)
+        assert got.shape == a.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        assert got[0] == n
 
 
 class TestBudget:
