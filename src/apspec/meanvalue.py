@@ -250,14 +250,21 @@ def _grid_coefficients(source: FunctionSource, candidates: np.ndarray,
         offsets = poly.freqs[None, :, :] - candidates[:, None, :]
         means = exp_axis_sums(1j * offsets.ravel(), axis, quad.summation) / n
         return np.prod(means.reshape(offsets.shape), axis=2) @ poly.coeffs
-    # one row per (candidate, axis) pair; sinc is evaluated once per node
+    # one row per (candidate, axis) pair, sinc evaluated once per node of a
+    # walk; rows are taken in groups so a block of values stays near
+    # REDUCE_BLOCK entries however many candidates there are
     lams = candidates.ravel()
+    group = max(1, REDUCE_BLOCK // min(n, REDUCE_BLOCK))
+    sums = np.empty(lams.shape[0], dtype=np.complex128)
+    for start in range(0, lams.shape[0], group):
+        rows = lams[start:start + group]
 
-    def fn(coords: np.ndarray) -> np.ndarray:
-        x = coords[:, 0]
-        return sinc(source.scale * x) * np.exp(-1j * np.outer(lams, x))
+        def fn(coords: np.ndarray, rows=rows) -> np.ndarray:
+            x = coords[:, 0]
+            return sinc(source.scale * x) * np.exp(-1j * np.outer(rows, x))
 
-    means = tensor_sum(fn, [axis], quad.summation) / n
+        sums[start:start + group] = tensor_sum(fn, [axis], quad.summation)
+    means = sums / n
     return source.amplitude * np.prod(means.reshape(candidates.shape), axis=1)
 
 

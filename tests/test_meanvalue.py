@@ -28,7 +28,13 @@ from apspec import (
 )
 from apspec import meanvalue
 from apspec.meanvalue import QUADRATURE_FIT_CONSTANT, quadrature_error_scale
-from apspec.quadrature import BUDGET_ENV_VAR, symmetric_axes, tensor_mean, tensor_sum
+from apspec.quadrature import (
+    BUDGET_ENV_VAR,
+    REDUCE_BLOCK,
+    symmetric_axes,
+    tensor_mean,
+    tensor_sum,
+)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -275,6 +281,22 @@ class TestGridCoefficientRoutes:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_sinc_scan_memory_independent_of_candidate_count(self):
+        # two blocks of nodes on one axis and 32 candidates: one walk over
+        # all 32 rows would hold 32 blocks of complex values (32 MB) at once
+        f = FunctionSource.sinc_product(1, scale=0.8)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=2 * REDUCE_BLOCK)
+        cands = np.linspace(-2.0, 2.0, 32)[:, None]
+        tracemalloc.start()
+        try:
+            report = spectrum_scan(f, cands, q, threshold=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.method == "quadrature"
+        assert peak < 8 << 20
+
 
 class TestCrosstalkFloor:
     def test_matches_hand_formula_for_polynomials(self):
