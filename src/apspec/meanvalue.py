@@ -42,6 +42,7 @@ from .quadrature import (
     grid_points,
     index_sum,
     midpoint_nodes,
+    split_axis,
     symmetric_axes,
     tensor_mean,
     tensor_sum,
@@ -106,8 +107,8 @@ def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
     With Lead[r, m] the product of the leading-axis factors at row r of the
     grid and Last[m, c] = e^{i x_p lam_mp}, the node values are the matrix
     product Lead @ Last, so only k x n exponentials per axis are computed.
-    One variable is split into coarse x fine nodes, x = (lo + b n_f h) +
-    (j + 1/2) h with n_f = ceil(sqrt(n)), truncated to n nodes.  The walk
+    One variable is split into coarse x fine nodes by split_axis, and the
+    walk stops after n nodes.  The walk
     keeps index_sum's blocks and summation; each block multiplies only the
     rows it touches into scratch buffers made once per call, so no product
     outgrows one block plus two rows.
@@ -118,12 +119,10 @@ def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
     guard_term_exponents(damp)
     weights = poly.coeffs * np.exp(-damp)
     if p == 1:
-        cols = math.isqrt(n - 1) + 1
-        row_shape = [-(-n // cols)]
-        h = 2.0 * half_width / n
-        coarse = -half_width + np.arange(row_shape[0]) * (cols * h)
-        row_tables = [np.exp(1j * np.outer(coarse, poly.freqs[:, 0]))]
-        last = np.exp(1j * np.outer(poly.freqs[:, 0], (np.arange(cols) + 0.5) * h))
+        cols, origins, offsets = split_axis((-half_width, half_width, n))
+        row_shape = [origins.size]
+        row_tables = [np.exp(1j * np.outer(origins, poly.freqs[:, 0]))]
+        last = np.exp(1j * np.outer(poly.freqs[:, 0], offsets))
     else:
         cols = n
         row_shape = [n] * (p - 1)

@@ -211,33 +211,44 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
     return index_sum(fn_of_indices, total, summation, block)
 
 
+def split_axis(axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
+    """Coarse x fine split of the n midpoints of one axis (lo, hi, n).
+
+    Returns (n_f, origins, offsets) with n_f = ceil(sqrt(n)) fine nodes per
+    row: midpoint b n_f + j is origins[b] + offsets[j], where origins[b] =
+    lo + b n_f h and offsets[j] = (j + 1/2) h.  There are ceil(n / n_f)
+    origins; the last row is partial when n_f does not divide n.
+    """
+    lo, hi, n = axis
+    n = int(n)
+    h = (hi - lo) / n
+    cols = math.isqrt(n - 1) + 1
+    origins = lo + np.arange(-(-n // cols)) * (cols * h)
+    return cols, origins, (np.arange(cols) + 0.5) * h
+
+
 def exp_axis_sums(a: np.ndarray, axis: Axis, summation: str = COMPENSATED) -> np.ndarray:
     """Plain sums sum_i e^{a_m x_i} over the midpoints x_i of one axis.
 
     a is a vector of complex (or real) exponents; the axis (lo, hi, n) is
-    split into coarse x fine nodes, x = (lo + b n_f h) + (j + 1/2) h with
-    n_f = ceil(sqrt(n)).  Each sum is (sum_b E_b)(sum_j F_j) over the full
+    split into coarse x fine nodes by split_axis.  Each sum is (sum_b E_b)(sum_j F_j) over the full
     coarse rows plus E_b sum_{j < r} F_j for the partial last row, so a term
     costs about 2 sqrt(n) exponentials instead of n.  The partial sums go
     through index_sum; callers check their full grid against the point
     budget first.
     """
     a = np.asarray(a, dtype=np.complex128)
-    lo, hi, n = axis
-    n = int(n)
-    h = (hi - lo) / n
-    cols = math.isqrt(n - 1) + 1
-    rows, rest = divmod(n, cols)
-    step = cols * h
-    fine = np.exp(np.outer(a, (np.arange(cols) + 0.5) * h))
+    cols, origins, offsets = split_axis(axis)
+    rows, rest = divmod(int(axis[2]), cols)
+    fine = np.exp(np.outer(a, offsets))
 
     def fine_sum(count: int) -> np.ndarray:
         return index_sum(lambda idx: fine[:, idx[0]:idx[-1] + 1], count, summation)
 
-    coarse = index_sum(lambda idx: np.exp(np.outer(a, lo + idx * step)), rows, summation)
+    coarse = index_sum(lambda idx: np.exp(np.outer(a, origins[idx])), rows, summation)
     total = coarse * fine_sum(cols)
     if rest:
-        total = total + np.exp(a * (lo + rows * step)) * fine_sum(rest)
+        total = total + np.exp(a * origins[rows]) * fine_sum(rest)
     return total
 
 

@@ -33,7 +33,6 @@ from .quadrature import (
     LadderSpec,
     QuadratureSpec,
     default_points_per_axis,
-    exp_axis_sums,
     grid_points,
     tensor_integral,
 )
@@ -176,14 +175,17 @@ def _term_box_integrals(exponents: np.ndarray, axes, summation: str) -> np.ndarr
 
     exponents is a (k, p) complex matrix with one column per axis.  Each
     term's integrand factors over the axes, so its sum over the tensor grid
-    is the product of its p one-axis sums on the same nodes (exp_axis_sums)
-    times the cell volume.  The full grid is never built, but its size is
-    still held to the point budget.
+    is the product of its p one-axis sums on the same nodes; each factor is
+    one one-axis tensor_integral with (k, n) block values.  The full grid
+    is never built, but its size is still held to the point budget.
     """
     grid_points([n for (_, _, n) in axes])
     result = np.ones(exponents.shape[0], dtype=np.complex128)
-    for a, (lo, hi, n) in zip(exponents.T, axes):
-        result = result * (exp_axis_sums(a, (lo, hi, n), summation) * ((hi - lo) / n))
+    for a, axis in zip(exponents.T, axes):
+        def fn(coords: np.ndarray, a=a) -> np.ndarray:
+            return np.exp(np.outer(a, coords[:, 0]))
+
+        result = result * tensor_integral(fn, [axis], summation)
     return result
 
 

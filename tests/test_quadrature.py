@@ -22,6 +22,7 @@ from apspec.quadrature import (
     midpoint_nodes,
     point_budget,
     reduce_in_blocks,
+    split_axis,
     symmetric_axes,
     tensor_integral,
     tensor_mean,
@@ -183,6 +184,15 @@ class TestExpAxisSums:
         assert got.shape == a.shape
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
         assert got[0] == n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65537])
+    def test_split_axis_covers_the_midpoints(self, n):
+        # every midpoint once, in order, in ceil(n / n_f) rows of n_f nodes
+        cols, origins, offsets = split_axis((0.0, 4.0, n))
+        assert cols == math.ceil(math.sqrt(n)) and offsets.size == cols
+        assert origins.size == -(-n // cols)
+        nodes = (origins[:, None] + offsets[None, :]).ravel()[:n]
+        assert np.allclose(nodes, midpoint_nodes(0.0, 4.0, n), rtol=0, atol=1e-12)
 
 
 class TestBudget:
