@@ -22,13 +22,17 @@ from .core import (
     eval_complex,
     eval_real,
     half_plane_growth_rate,
+    sinc,
 )
 from .errors import DimensionMismatchError, EvaluationRangeError, PreconditionError
 from .quadrature import (
+    REDUCE_BLOCK,
+    Axis,
     KahanAccumulator,
     check_budget,
-    full_grid,
+    grid_points,
     midpoint_nodes,
+    split_axis,
 )
 
 # imaginary shifts below keep sigma * delta at or under this bound;
@@ -41,8 +45,6 @@ POISSON_TAIL_ALLOWANCE = math.log(2.0)
 # if every sample of log|g| on the window is this close to zero the source
 # is treated as unimodular on R and the positive tail vanishes exactly
 UNIMODULAR_LOG_TOL = 1e-9
-
-_EVAL_CHUNK = 1 << 18
 
 _DIRECTION_SEED = 1815
 
@@ -152,12 +154,104 @@ def estimate_type(source: FunctionSource, radii=DEFAULT_RADII,
     )
 
 
-def _grid_max_abs(source: FunctionSource, points: np.ndarray) -> float:
-    best = 0.0
-    for start in range(0, points.shape[0], _EVAL_CHUNK):
-        chunk = points[start:start + _EVAL_CHUNK]
-        best = max(best, float(np.max(np.abs(eval_real(source, chunk)))))
-    return best
+def _lattice_axis(start: float, step: float, n: int) -> Axis:
+    """The n nodes start + i * step, up to rounding, as a midpoint axis (lo, hi, n)."""
+    return (start - 0.5 * step, start + (n - 0.5) * step, n)
+
+
+def _linspace_axis(half_width: float, n: int) -> Axis:
+    """np.linspace(-half_width, half_width, n) as a midpoint axis."""
+    return _lattice_axis(-half_width, 2.0 * half_width / (n - 1) if n > 1 else 0.0, n)
+
+
+def _axis_factors(source: FunctionSource, axes):
+    """|f| on the grid as amp * prod_j factor_j[i_j], or None.
+
+    Sinc products and one-term polynomials factor this way, with
+    non-negative per-axis factors; polynomials with more terms return None.
+    """
+    if source.kind == POLY:
+        if source.poly.n_terms > 1:
+            return None
+        return abs(source.poly.coeffs[0]), [np.ones(int(n)) for (_, _, n) in axes]
+    factors = []
+    for (lo, hi, n) in axes:
+        # in blocks, so a long line holds no temporaries beyond one block
+        out = np.empty(int(n))
+        for start in range(0, out.size, REDUCE_BLOCK):
+            x = lo + (np.arange(start, min(start + REDUCE_BLOCK, out.size)) + 0.5) * ((hi - lo) / n)
+            out[start:start + x.size] = np.abs(sinc(source.scale * x))
+        factors.append(out)
+    return abs(source.amplitude), factors
+
+
+def _abs_blocks(source: FunctionSource, axes):
+    """|f| over the tensor midpoint grid, in C-order blocks.
+
+    Yields (start, values) with values[i] the value at flat index start + i;
+    a block holds about REDUCE_BLOCK nodes.  A polynomial with k terms takes
+    per-axis tables e^{i lam_mj x}, the coefficients folded into the first; a block of grid rows is the product Lead @ Last of the
+    leading axes' table rows and the last axis's table.  One variable is
+    split coarse x fine by split_axis, so it costs about 2 sqrt(n) k
+    exponentials.  Callers check the grid against the point budget first.
+    """
+    shape = [int(n) for (_, _, n) in axes]
+    total = math.prod(shape)
+    factors = _axis_factors(source, axes)
+    if factors is not None:
+        amp, per_axis = factors
+        for start in range(0, total, REDUCE_BLOCK):
+            stop = min(start + REDUCE_BLOCK, total)
+            ix = np.unravel_index(np.arange(start, stop), shape) if len(shape) > 1 else [slice(start, stop)]
+            yield start, amp * math.prod(f[i] for f, i in zip(per_axis, ix))
+        return
+    poly = source.poly
+    if len(axes) == 1:
+        _, origins, offsets = split_axis(axes[0])
+        row_nodes, col_nodes = [origins], offsets
+    else:
+        nodes = [midpoint_nodes(*axis) for axis in axes]
+        row_nodes, col_nodes = nodes[:-1], nodes[-1]
+    tables = [np.exp(1j * np.outer(x, poly.freqs[:, j])) for j, x in enumerate(row_nodes)]
+    tables[0] *= poly.coeffs
+    last = np.exp(1j * np.outer(poly.freqs[:, -1], col_nodes))
+    row_shape = [x.size for x in row_nodes]
+    n_rows, cols = math.prod(row_shape), col_nodes.size
+    step = max(1, REDUCE_BLOCK // cols)
+    for r0 in range(0, n_rows, step):
+        ix = np.unravel_index(np.arange(r0, min(r0 + step, n_rows)), row_shape)
+        lead = math.prod(table[i] for table, i in zip(tables, ix))
+        yield r0 * cols, np.abs(lead @ last).ravel()[:total - r0 * cols]
+
+
+def _grid_max(source: FunctionSource, axes, power: int = 0) -> tuple[float, int]:
+    """Max of |f(x)| / prod_j (1 + |x_j|)^power over a tensor midpoint grid.
+
+    Returns the max and its first flat index in C order (0 when f vanishes
+    on the grid).  Where |f| factors over the axes (_axis_factors) the max
+    is the product of per-axis maxima; otherwise the blocks of _abs_blocks
+    are reduced by max.
+    """
+    shape = [int(n) for (_, _, n) in axes]
+    grid_points(shape)
+    weights = [(1.0 + np.abs(midpoint_nodes(*axis))) ** power for axis in axes] if power else None
+    factors = _axis_factors(source, axes)
+    if factors is not None:
+        amp, per_axis = factors
+        if weights:
+            per_axis = [f / w for f, w in zip(per_axis, weights)]
+        ix = [int(np.argmax(f)) for f in per_axis]
+        best = amp * math.prod(float(f[i]) for f, i in zip(per_axis, ix))
+        return (best, int(np.ravel_multi_index(ix, shape))) if best > 0 else (0.0, 0)
+    best, index = 0.0, 0
+    for start, values in _abs_blocks(source, axes):
+        if weights:
+            ix = np.unravel_index(np.arange(start, start + values.size), shape)
+            values = values / math.prod(w[i] for w, i in zip(weights, ix))
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, index = float(values[i]), start + i
+    return best, index
 
 
 def logvinenko_check(source: FunctionSource, sigma: float, delta: float,
@@ -180,12 +274,10 @@ def logvinenko_check(source: FunctionSource, sigma: float, delta: float,
     p = source.dim
     spacing = 2.0 * delta / math.sqrt(p)
     steps = int(math.ceil(2.0 * half_width / spacing))
-    net_axis = -half_width + spacing * np.arange(steps + 1)
-    dense_axis = np.linspace(-half_width, half_width, dense_per_axis)
-    check_budget(len(net_axis) ** p)
+    check_budget((steps + 1) ** p)
     check_budget(dense_per_axis ** p)
-    net_max = _grid_max_abs(source, full_grid([net_axis] * p))
-    dense_max = _grid_max_abs(source, full_grid([dense_axis] * p))
+    net_max, _ = _grid_max(source, [_lattice_axis(-half_width, spacing, steps + 1)] * p)
+    dense_max, _ = _grid_max(source, [_linspace_axis(half_width, dense_per_axis)] * p)
     factor = 1.0 / (1.0 - product)
     context = ("logvinenko sigma=%.6g delta=%.6g L=%.6g net_spacing=%.6g"
                % (sigma, delta, half_width, spacing))
@@ -194,14 +286,17 @@ def logvinenko_check(source: FunctionSource, sigma: float, delta: float,
 
 def _weighted_log_integral(source: FunctionSource, x0: float, s: float,
                            t_half_width: float, n_points: int) -> tuple[float, float]:
-    """Truncated Poisson integral of log|g| and the largest |log| sample."""
-    nodes = midpoint_nodes(-t_half_width, t_half_width, n_points)
+    """Truncated Poisson integral of log|g| and the largest |log| sample.
+
+    The values g(x0 + t) come in blocks from _abs_blocks over the window
+    shifted by x0; each block's weighted sum is one partial of the
+    compensated total.
+    """
     h = 2.0 * t_half_width / n_points
     acc = KahanAccumulator()
     log_peak = 0.0
-    for start in range(0, n_points, _EVAL_CHUNK):
-        t = nodes[start:start + _EVAL_CHUNK]
-        vals = np.abs(eval_real(source, (x0 + t)[:, None]))
+    for start, vals in _abs_blocks(source, [(x0 - t_half_width, x0 + t_half_width, n_points)]):
+        t = -t_half_width + (np.arange(start, start + vals.size) + 0.5) * h
         logs = np.log(np.maximum(vals, 1e-300))
         log_peak = max(log_peak, float(np.max(np.abs(logs))))
         acc.add(float(np.add.reduce(logs * (h * (s / math.pi) / (t * t + s * s)))))
@@ -226,6 +321,7 @@ def poisson_majorant_check(source: FunctionSource, x0: float, s: float,
         raise DimensionMismatchError("poisson check needs a one-variable source")
     if s <= 0:
         raise PreconditionError("s must be positive")
+    grid_points([n_points])
     if t_half_width is None:
         t_half_width = 1e4 * s
     if t_half_width < max(50.0, 100.0 * s):
@@ -253,8 +349,7 @@ def phragmen_lindelof_check(source: FunctionSource, x: float, y: float,
         raise DimensionMismatchError("phragmen-lindelof check needs a one-variable source")
     if y <= 0:
         raise PreconditionError("y must be positive")
-    grid = np.linspace(-sup_half_width, sup_half_width, sup_points)
-    sup_line = _grid_max_abs(source, grid[:, None])
+    sup_line, _ = _grid_max(source, [_linspace_axis(sup_half_width, sup_points)])
     rate = half_plane_growth_rate(source)
     lhs = abs(eval_complex(source, np.array([x + 1j * y])))
     rhs = sup_line * math.exp(rate * y)
@@ -282,18 +377,9 @@ def growth_envelope_check(source: FunctionSource, half_width: float = 20.0,
     trace it leaves in reports.
     """
     p = source.dim
-    axis = np.linspace(-half_width, half_width, points_per_axis)
-    check_budget(points_per_axis ** p)
-    pts = full_grid([axis] * p)
-    best_ratio, best_point = 0.0, pts[0]
-    for start in range(0, pts.shape[0], _EVAL_CHUNK):
-        chunk = pts[start:start + _EVAL_CHUNK]
-        weights = np.prod((1.0 + np.abs(chunk)) ** p, axis=1)
-        ratios = np.abs(eval_real(source, chunk)) / weights
-        i = int(np.argmax(ratios))
-        if ratios[i] > best_ratio:
-            best_ratio = float(ratios[i])
-            best_point = chunk[i].copy()
+    axes = [_linspace_axis(half_width, points_per_axis)] * p
+    best_ratio, index = _grid_max(source, axes, power=p)
+    best_point = midpoint_nodes(*axes[0])[list(np.unravel_index(index, [points_per_axis] * p))]
     envelope = best_ratio * float(np.prod((1.0 + np.abs(best_point)) ** p))
     value = float(abs(eval_real(source, best_point)))
     context = "growth_envelope L=%.6g n=%d c1_hat=%.6g" % (half_width, points_per_axis, best_ratio)

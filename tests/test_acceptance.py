@@ -276,8 +276,6 @@ def test_gate_09_majorant_inequalities():
     for f, sigma in catalog:
         for delta in (0.1, 0.25):
             for L in (10.0, 20.0):
-                if f.dim == 3 and delta == 0.1 and L == 20.0:
-                    continue  # dense grid would exceed the point budget
                 dense = {1: 2001, 2: 1001, 3: 401}[f.dim]
                 c = ap.logvinenko_check(f, sigma=sigma, delta=delta,
                                         half_width=L, dense_per_axis=dense)

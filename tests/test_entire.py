@@ -1,6 +1,8 @@
 """Type estimation from imaginary-ray growth and the majorant inequalities."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apspec import (
+    BudgetExceededError,
     DimensionMismatchError,
     FunctionSource,
     PreconditionError,
     TrigPolynomial,
     estimate_type,
+    eval_real,
     exact_type,
     generate_polynomial,
     growth_envelope_check,
@@ -22,7 +26,84 @@ from apspec import (
     phragmen_lindelof_check,
     poisson_majorant_check,
 )
-from apspec.entire import make_check
+from apspec import entire
+from apspec.entire import (
+    UNIMODULAR_LOG_TOL,
+    _grid_max,
+    _lattice_axis,
+    _linspace_axis,
+    _weighted_log_integral,
+    make_check,
+)
+from apspec.quadrature import (
+    BUDGET_ENV_VAR,
+    REDUCE_BLOCK,
+    KahanAccumulator,
+    full_grid,
+    midpoint_nodes,
+)
+
+EPS = np.finfo(float).eps
+
+# pointwise reference walks: every node evaluated by eval_real, in chunks
+REF_CHUNK = 1 << 18
+
+
+def ref_grid_values(source, axes, power=0):
+    """|f(x)| / prod_j (1 + |x_j|)^power at every node of the grid, in C order."""
+    pts = full_grid([midpoint_nodes(*axis) for axis in axes])
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], REF_CHUNK):
+        chunk = pts[start:start + REF_CHUNK]
+        vals = np.abs(eval_real(source, chunk))
+        if power:
+            vals = vals / np.prod((1.0 + np.abs(chunk)) ** power, axis=1)
+        out[start:start + chunk.shape[0]] = vals
+    return out
+
+
+def ref_weighted_log_integral(source, x0, s, t_half_width, n_points):
+    """The Poisson walk node by node: (integral, log_peak, condition).
+
+    condition = sum_i w_i / |g_i| is the factor by which log|g| magnifies an
+    absolute error in g, summed with the Poisson weights w_i.
+    """
+    nodes = midpoint_nodes(-t_half_width, t_half_width, n_points)
+    h = 2.0 * t_half_width / n_points
+    acc = KahanAccumulator()
+    log_peak, condition = 0.0, 0.0
+    for start in range(0, n_points, REF_CHUNK):
+        t = nodes[start:start + REF_CHUNK]
+        vals = np.abs(eval_real(source, (x0 + t)[:, None]))
+        logs = np.log(np.maximum(vals, 1e-300))
+        log_peak = max(log_peak, float(np.max(np.abs(logs))))
+        weights = h * (s / math.pi) / (t * t + s * s)
+        acc.add(float(np.add.reduce(logs * weights)))
+        condition += float(np.sum(weights / np.maximum(vals, 1e-300)))
+    return acc.total, log_peak, condition
+
+
+def source_scale(source):
+    """(C, max|lam|): coefficient l1 norm (or |A|) and largest frequency magnitude."""
+    if source.kind == "poly":
+        return source.poly.coefficient_l1(), float(np.max(np.abs(source.poly.freqs)))
+    return abs(source.amplitude), abs(source.scale)
+
+
+def max_kernel_tolerance(source, axes):
+    """4 eps C (p + k + Phi), Phi the largest phase sum_j |lam_mj| max|x_j| on the grid.
+
+    Both routes round O(p + k) times per node relative to C, and they round
+    each term's phase differently (one exp of the summed phase against a
+    product of per-axis exps), which moves a term by up to eps * Phi * |c_m|.
+    Sinc factors take the same arguments in both routes, so Phi = 0, k = 1.
+    """
+    p = len(axes)
+    if source.kind != "poly":
+        return 4 * EPS * abs(source.amplitude) * (p + 1)
+    reach = np.array([max(abs(lo), abs(hi)) for (lo, hi, _) in axes])
+    phi = float(np.max(np.abs(source.poly.freqs) @ reach))
+    return 4 * EPS * source.poly.coefficient_l1() * (p + source.poly.n_terms + phi)
 
 
 def single_exp(lam):
@@ -200,3 +281,165 @@ class TestGrowthEnvelope:
                                     points_per_axis=801)
         assert est.c1_hat == pytest.approx(2.5)
         assert np.allclose(est.argmax, 0.0, atol=0.05)
+
+
+def random_source(rng, dim, n_terms, sinc_kind):
+    if sinc_kind:
+        return FunctionSource.sinc_product(
+            dim, scale=rng.uniform(0.2, 2.0),
+            amplitude=rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    coeffs = rng.uniform(0.1, 1.0, n_terms) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_terms))
+    return FunctionSource.from_poly(TrigPolynomial(
+        dim=dim, freqs=rng.uniform(-2.5, 2.5, (n_terms, dim)), coeffs=coeffs))
+
+
+def one_axis_points(dim):
+    # one variable: n is never a multiple of split_axis's row length
+    if dim == 1:
+        return st.integers(2, 20000).filter(lambda n: n % (math.isqrt(n - 1) + 1) != 0)
+    return st.integers(2, {2: 150, 3: 30}[dim])
+
+
+@st.composite
+def grid_cases(draw):
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    source = random_source(rng, dim, draw(st.integers(1, 5)), draw(st.booleans()))
+    n = draw(one_axis_points(dim))
+    half_width = draw(st.floats(1.0, 50.0))
+    if draw(st.booleans()):
+        axis = _linspace_axis(half_width, n)
+    else:
+        axis = _lattice_axis(-half_width, draw(st.floats(0.01, 1.0)), n)
+    power = draw(st.sampled_from([0, dim]))
+    block = draw(st.sampled_from([7, 64, 1000, REDUCE_BLOCK]))
+    return source, [axis] * dim, power, block
+
+
+def assert_matches_reference(source, axes, power, best, index):
+    ref = ref_grid_values(source, axes, power)
+    tol = max_kernel_tolerance(source, axes)
+    ref_index = int(np.argmax(ref))
+    assert abs(best - ref[ref_index]) <= tol
+    # the first maximal node in C order; a node within the rounding of the
+    # two routes may stand in for it only when the max is not unique
+    runner_up = np.partition(ref, -2)[-2] if ref.size > 1 else -np.inf
+    if ref[ref_index] - runner_up > 2 * tol:
+        assert index == ref_index
+    else:
+        assert ref[index] >= ref[ref_index] - 2 * tol
+
+
+class TestGridMaxKernel:
+    @given(grid_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pointwise_reference(self, case):
+        source, axes, power, block = case
+        with mock.patch.object(entire, "REDUCE_BLOCK", block):
+            best, index = _grid_max(source, axes, power)
+        assert_matches_reference(source, axes, power, best, index)
+
+    @pytest.mark.parametrize("dim,n", [(1, 200001), (2, 300), (3, 50)])
+    def test_default_blocks_match_reference(self, dim, n):
+        rng = np.random.default_rng(40 + dim)
+        source = random_source(rng, dim, 4, sinc_kind=False)
+        axes = [_linspace_axis(20.0, n)] * dim
+        for power in (0, dim):
+            best, index = _grid_max(source, axes, power)
+            assert_matches_reference(source, axes, power, best, index)
+
+    def test_vanishing_source_reports_first_node(self):
+        f = FunctionSource.constant(0.0, dim=2)
+        assert _grid_max(f, [_linspace_axis(5.0, 11)] * 2, power=2) == (0.0, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2001])
+    def test_linspace_axis_nodes(self, n):
+        nodes = midpoint_nodes(*_linspace_axis(20.0, n))
+        assert np.allclose(nodes, np.linspace(-20.0, 20.0, n), rtol=0, atol=1e-13)
+
+    def test_net_lattice_nodes(self):
+        spacing, steps = 0.2 / math.sqrt(3), 347
+        nodes = midpoint_nodes(*_lattice_axis(-20.0, spacing, steps + 1))
+        assert np.allclose(nodes, -20.0 + spacing * np.arange(steps + 1), rtol=0, atol=1e-13)
+
+
+POISSON_CASES = [
+    ("sinc", FunctionSource.sinc_product(1, scale=0.8, amplitude=1.5)),
+    ("cosine", FunctionSource.cosine([1.3])),
+    # a zero 1e-7 past x0 + t for x0 = 0.3 and the node t = 47.45 of the
+    # s = 2, n = 400000 window, where log|g| magnifies the rounding of g
+    ("cosine-near-zero", FunctionSource.cosine([15.5 * math.pi / (47.75 + 1e-7)])),
+    ("exponential", single_exp([0.9])),
+    ("unit-constant", FunctionSource.constant(1.0)),
+] + [
+    ("slice%d" % i, line_slice(
+        FunctionSource.from_poly(generate_polynomial(
+            seed=7000 + i, dim=1 + i % 3, n_terms=2 + i % 4, radius=2.0, min_gap=0.5)),
+        np.random.default_rng(i).uniform(-3, 3, i % 3) if i % 3 else None))
+    for i in range(6)
+]
+
+
+class TestPoissonIntegralRoute:
+    @pytest.mark.parametrize("name,source", POISSON_CASES, ids=[c[0] for c in POISSON_CASES])
+    @pytest.mark.parametrize("s,n_points", [(0.5, 400000), (2.0, 400000), (1.0, 99991)])
+    def test_matches_pointwise_walk(self, name, source, s, n_points):
+        x0, t_half_width = 0.3, 1e4 * s
+        integral, log_peak = _weighted_log_integral(source, x0, s, t_half_width, n_points)
+        ref_integral, ref_peak, condition = ref_weighted_log_integral(
+            source, x0, s, t_half_width, n_points)
+        c, lam = source_scale(source)
+        # the routes round phases up to (T + |x0|) max|lam| apart, an error of
+        # eps (T + |x0|) max|lam| l1(c) in g, which log|g| magnifies by 1/|g|;
+        # the blocks are also summed in another order
+        tol = EPS * ((t_half_width + abs(x0)) * lam * c * condition
+                     + math.log2(n_points) * ref_peak)
+        assert abs(integral - ref_integral) <= tol
+        assert (log_peak < UNIMODULAR_LOG_TOL) == (ref_peak < UNIMODULAR_LOG_TOL)
+
+    def test_unimodular_sources_keep_zero_tail(self):
+        for source in (single_exp([0.9]), line_slice(single_exp([0.7, -1.1]), [2.0])):
+            _, log_peak = _weighted_log_integral(source, 0.3, 1.0, 1e4, 400000)
+            _, ref_peak, _ = ref_weighted_log_integral(source, 0.3, 1.0, 1e4, 400000)
+            assert log_peak < UNIMODULAR_LOG_TOL and ref_peak < UNIMODULAR_LOG_TOL
+
+
+class TestPointBudget:
+    def test_line_checks_refuse_before_allocating(self, monkeypatch):
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+        g = FunctionSource.cosine([1.0])
+        with pytest.raises(BudgetExceededError):
+            poisson_majorant_check(g, x0=0.0, s=1.0)
+        with pytest.raises(BudgetExceededError):
+            phragmen_lindelof_check(g, x=0.0, y=1.0)
+        # 10^12 nodes would exhaust memory if anything were built first
+        with pytest.raises(BudgetExceededError):
+            poisson_majorant_check(g, x0=0.0, s=1.0, n_points=10 ** 12)
+        with pytest.raises(BudgetExceededError):
+            phragmen_lindelof_check(g, x=0.0, y=1.0, sup_points=10 ** 12)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMajorantMemory:
+    @pytest.mark.parametrize("source", [FunctionSource.sinc_product(3, scale=0.7),
+                                        FunctionSource.cosine([0.6, 0.8, 0.2])],
+                             ids=["sinc", "cosine"])
+    def test_three_dim_net_check_near_budget(self, source):
+        # dense grid 461^3 = 9.8e7 points, just under the 10^8 budget
+        peak = traced_peak(lambda: logvinenko_check(
+            source, sigma=1.0, delta=0.25, half_width=20.0, dense_per_axis=461))
+        assert peak < 8 << 20
+
+    def test_two_dim_polynomial_envelope(self):
+        f = FunctionSource.from_poly(generate_polynomial(
+            seed=8800, dim=2, n_terms=4, radius=2.0, min_gap=0.5))
+        peak = traced_peak(lambda: growth_envelope_check(f, half_width=20.0, points_per_axis=2001))
+        assert peak < 8 << 20
