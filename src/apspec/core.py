@@ -37,30 +37,29 @@ def sinc(w):
 
     Uses the Taylor series 1 - u/6 + u^2/120 - u^3/5040 in u = w^2 when
     |w| < 1e-4, which keeps the relative error at the 1e-16 level across
-    the switch point.
+    the switch point.  The ratio is taken over the whole array and only the
+    series entries are overwritten.
     """
     arr = np.asarray(w)
     scalar = arr.ndim == 0
     if np.iscomplexobj(arr):
-        vals = np.atleast_1d(arr).astype(np.complex128)
+        vals = np.atleast_1d(arr).astype(np.complex128, order="C")
         worst = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
         if worst > EXP_GUARD:
             raise EvaluationRangeError(
                 "sinc argument has |Im w| = %.3g > %g; sin(w) would overflow" % (worst, EXP_GUARD),
                 exponent=worst,
             )
-        out = np.empty(vals.shape, dtype=np.complex128)
     else:
-        vals = np.atleast_1d(arr).astype(np.float64)
-        out = np.empty(vals.shape, dtype=np.float64)
-    small = np.abs(vals) < SINC_SERIES_THRESHOLD
-    if np.any(small):
-        u = vals[small] ** 2
-        out[small] = 1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0))
-    big = ~small
-    if np.any(big):
-        wb = vals[big]
-        out[big] = np.sin(wb) / wb
+        vals = np.atleast_1d(arr).astype(np.float64, order="C")
+    # C order, so reshape(-1) below is a view of out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(vals)
+        np.divide(out, vals, out=out)
+    small = np.flatnonzero(np.abs(vals) < SINC_SERIES_THRESHOLD)
+    if small.size:
+        u = vals.reshape(-1)[small] ** 2
+        out.reshape(-1)[small] = 1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0))
     return out[0] if scalar else out
 
 

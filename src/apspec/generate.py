@@ -9,6 +9,8 @@ Coefficient magnitudes stay inside [0.1, 0.9] so a detection threshold of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import TrigPolynomial
@@ -20,11 +22,14 @@ AMPLITUDE_RANGE = (0.1, 0.9)
 
 def generate_polynomial(seed: int, dim: int = 1, n_terms: int = 5,
                         radius: float = 2.0, min_gap: float = 0.5,
-                        max_tries: int = 20000) -> TrigPolynomial:
+                        max_tries: int = 100000) -> TrigPolynomial:
     """Seeded random polynomial with well-separated frequencies.
 
     The same seed and parameters always produce the same terms, so JSON
-    dumps of the result are byte-identical across runs.
+    dumps of the result are byte-identical across runs.  Frequencies at
+    per-axis gap min_gap inside the ball have distinct first coordinates in
+    [-radius, radius], so a request for more than floor(2 radius / min_gap)
+    + 1 terms is refused before any draw.
     """
     if dim < 1:
         raise PreconditionError("dim must be >= 1")
@@ -32,6 +37,12 @@ def generate_polynomial(seed: int, dim: int = 1, n_terms: int = 5,
         raise PreconditionError("n_terms must be in [1, %d], got %d" % (MAX_TERMS, n_terms))
     if radius <= 0 or min_gap < 0:
         raise PreconditionError("radius must be positive and min_gap nonnegative")
+    if min_gap > 0:
+        most = math.floor(2.0 * radius / min_gap) + 1
+        if n_terms > most:
+            raise PreconditionError(
+                "%d frequencies with per-axis gap %g cannot fit inside radius %g (at most %d)"
+                % (n_terms, min_gap, radius, most))
     rng = np.random.default_rng(seed)
     accepted: list[np.ndarray] = []
     tries = 0

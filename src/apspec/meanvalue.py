@@ -58,6 +58,10 @@ QUADRATURE_FIT_CONSTANT = 0.01
 # safety factor applied to the threshold floor for non-polynomial sources
 NONPOLY_FLOOR_FACTOR = 10.0
 
+# nodes of whole rows per Lead @ Last product in poly_abs_grid_sum; a
+# quarter block keeps its complex scratch well below a block's
+_ABS_ROW_GROUP = REDUCE_BLOCK // 4
+
 
 @dataclass(frozen=True)
 class SeminormEstimate:
@@ -108,10 +112,11 @@ def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
     grid and Last[m, c] = e^{i x_p lam_mp}, the node values are the matrix
     product Lead @ Last, so only k x n exponentials per axis are computed.
     One variable is split into coarse x fine nodes by split_axis, and the
-    walk stops after n nodes.  The walk
-    keeps index_sum's blocks and summation; each block multiplies only the
-    rows it touches into scratch buffers made once per call, so no product
-    outgrows one block plus two rows.
+    walk stops after n nodes.  The walk keeps index_sum's blocks and
+    summation: each block's magnitudes fill one block-sized buffer, built
+    from products over groups of whole rows of about _ABS_ROW_GROUP nodes (a
+    row longer than a block is multiplied in pieces of at most two).  All
+    scratch buffers are made once per call.
     """
     p = poly.dim
     total = grid_points([n] * p)
@@ -131,7 +136,11 @@ def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
         last = np.exp(1j * np.outer(poly.freqs[:, -1], nodes))
     row_tables[0] = row_tables[0] * weights
     block = min(REDUCE_BLOCK, total)
-    span = min(math.prod(row_shape), (block - 1) // cols + 2)
+    # at least two rows per product: a one-row product takes numpy's
+    # vector-matrix route, whose rounding differs from the matrix product's
+    group = max(2, _ABS_ROW_GROUP // cols)
+    # a block touches at most (block - 1) // cols + 2 rows
+    span = min(group + 1, (block - 1) // cols + 2, math.prod(row_shape))
     values = np.empty(span * cols if cols <= block else block, dtype=np.complex128)
     magnitudes = np.empty(block)
     lead = np.empty((span, poly.n_terms), dtype=np.complex128)
@@ -149,26 +158,31 @@ def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
             np.multiply(lead[:m], factor[:m], out=lead[:m])
         return lead[:m]
 
-    def fn(idx: np.ndarray) -> np.ndarray:
-        start = int(idx[0])
-        m = idx.shape[0]
+    def fn(start: int, stop: int) -> np.ndarray:
         if cols <= block:
-            r0, r1 = start // cols, (start + m - 1) // cols + 1
-            rows = values[:(r1 - r0) * cols]
-            np.matmul(lead_rows(r0, r1), last, out=rows.reshape(r1 - r0, cols))
-            block_values = rows[start - r0 * cols:start - r0 * cols + m]
+            r, r_end = start // cols, (stop - 1) // cols + 1
+            pos = start
+            while r < r_end:
+                r1 = min(r + group, r_end)
+                if r_end - r1 == 1:
+                    r1 = r_end  # never leave one row for a product of its own
+                rows = values[:(r1 - r) * cols]
+                np.matmul(lead_rows(r, r1), last, out=rows.reshape(r1 - r, cols))
+                end = min(stop, r1 * cols)
+                np.abs(rows[pos - r * cols:end - r * cols], out=magnitudes[pos - start:end - start])
+                pos, r = end, r1
         else:
             # rows longer than a block: each block covers pieces of at most two
-            done = 0
-            while done < m:
-                r, c = divmod(start + done, cols)
-                width = min(cols - c, m - done)
-                np.matmul(lead_rows(r, r + 1), last[:, c:c + width],
-                          out=values[done:done + width].reshape(1, width))
-                done += width
-            block_values = values[:m]
-        # the next block overwrites the buffers; index_sum has reduced them by then
-        return np.abs(block_values, out=magnitudes[:m])
+            pos = start
+            while pos < stop:
+                r, c = divmod(pos, cols)
+                width = min(cols - c, stop - pos)
+                piece = values[:width]
+                np.matmul(lead_rows(r, r + 1), last[:, c:c + width], out=piece.reshape(1, width))
+                np.abs(piece, out=magnitudes[pos - start:pos - start + width])
+                pos += width
+        # the next block overwrites the buffer; index_sum has reduced it by then
+        return magnitudes[:stop - start]
 
     return float(index_sum(fn, total, summation, REDUCE_BLOCK))
 

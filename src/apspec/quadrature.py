@@ -172,19 +172,19 @@ def grid_points(shape: Sequence[int]) -> int:
     return total
 
 
-def index_sum(fn: Callable[[np.ndarray], np.ndarray], total: int,
+def index_sum(fn: Callable[[int, int], np.ndarray], total: int,
               summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
     """Sum fn over the flat indices 0 .. total-1 of a grid checked by grid_points.
 
-    fn maps a block of flat C-order indices (int64) to the node values, with
-    the same output forms as tensor_sum; blocks, their reduction and their
-    combination are those of tensor_sum, which walks its grid through here.
+    The indices are walked in blocks of `block`, the last one partial:
+    fn(start, stop) returns the values of the nodes start .. stop-1 in flat
+    C order, with the same output forms as tensor_sum.  Each block is
+    reduced with numpy's pairwise sum and the partials are combined in
+    order; tensor_sum walks its grid through here.
     """
     check_summation(summation)
-    partials = []
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        partials.append(np.add.reduce(fn(idx), axis=-1))
+    partials = [np.add.reduce(fn(start, min(start + block, total)), axis=-1)
+                for start in range(0, total, block)]
     return reduce_in_blocks(partials, summation)
 
 
@@ -196,19 +196,21 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
     (k, m) array of k integrands sharing the grid.  Returns the plain sum
     of the n_1*...*n_p node values (a k-vector in the second case, each
     entry bitwise equal to the scalar sum of its row); multiply by the cell
-    volume for an integral or divide by the node count for a mean.
+    volume for an integral or divide by the node count for a mean.  The
+    grid is walked in index_sum's blocks, and each block's coordinates are
+    unravelled from its bounds.
     """
     ns = [int(n) for (_, _, n) in axes]
     total = grid_points(ns)
     nodes = [midpoint_nodes(lo, hi, n) for (lo, hi, n) in axes]
 
-    def fn_of_indices(idx: np.ndarray):
-        coords = np.empty((idx.shape[0], len(axes)), dtype=np.float64)
-        for j, ix in enumerate(np.unravel_index(idx, ns)):
+    def fn_of_bounds(start: int, stop: int):
+        coords = np.empty((stop - start, len(axes)), dtype=np.float64)
+        for j, ix in enumerate(np.unravel_index(np.arange(start, stop), ns)):
             coords[:, j] = nodes[j][ix]
         return fn(coords)
 
-    return index_sum(fn_of_indices, total, summation, block)
+    return index_sum(fn_of_bounds, total, summation, block)
 
 
 def split_axis(axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
@@ -243,9 +245,10 @@ def exp_axis_sums(a: np.ndarray, axis: Axis, summation: str = COMPENSATED) -> np
     fine = np.exp(np.outer(a, offsets))
 
     def fine_sum(count: int) -> np.ndarray:
-        return index_sum(lambda idx: fine[:, idx[0]:idx[-1] + 1], count, summation)
+        return index_sum(lambda start, stop: fine[:, start:stop], count, summation)
 
-    coarse = index_sum(lambda idx: np.exp(np.outer(a, origins[idx])), rows, summation)
+    coarse = index_sum(lambda start, stop: np.exp(np.outer(a, origins[start:stop])),
+                       rows, summation)
     total = coarse * fine_sum(cols)
     if rest:
         total = total + np.exp(a * origins[rows]) * fine_sum(rest)

@@ -23,7 +23,7 @@ from apspec import (
     sinc,
     sinc_multiplier,
 )
-from apspec.core import half_plane_growth_rate
+from apspec.core import SINC_SERIES_THRESHOLD, half_plane_growth_rate
 
 
 def poly(dim, freqs, coeffs):
@@ -59,6 +59,35 @@ class TestSinc:
     def test_overflow_guard_raises(self):
         with pytest.raises(EvaluationRangeError):
             sinc(1j * 800.0)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bitwise_equal_to_masked_branches(self, kind):
+        # reference: the series on the small entries and sin(w)/w on the
+        # rest, each through its own boolean mask
+        def masked(vals):
+            out = np.empty_like(vals)
+            small = np.abs(vals) < SINC_SERIES_THRESHOLD
+            u = vals[small] ** 2
+            out[small] = 1.0 + u * (-1.0 / 6.0 + u * (1.0 / 120.0 - u / 5040.0))
+            out[~small] = np.sin(vals[~small]) / vals[~small]
+            return out
+
+        rng = np.random.default_rng(7)
+        w = np.concatenate([
+            rng.uniform(-50.0, 50.0, 4000),
+            rng.uniform(-3e-4, 3e-4, 4000),
+            [0.0, -0.0, 1e-4, -1e-4, np.nextafter(1e-4, 0.0), 1e-300, math.pi],
+        ])
+        if kind == "complex":
+            w = w + 1j * rng.uniform(-1e-4, 1e-4, w.size) * (rng.uniform(size=w.size) < 0.5)
+            w[:3] = [0.0, 1e-4j, -1e-4 + 0j]
+        got = sinc(w)
+        assert got.tobytes() == masked(w).tobytes()
+        # a transposed (non-contiguous) 2-D input gives the same bits per entry
+        grid = w[:8000].reshape(80, 100).T
+        assert sinc(grid).tobytes() == masked(np.ascontiguousarray(grid)).tobytes()
+        for v in w[-7:]:
+            assert np.asarray(sinc(v)).tobytes() == masked(np.array([v]))[0].tobytes()
 
     @given(st.floats(min_value=-50.0, max_value=50.0))
     def test_real_values_bounded_by_one(self, w):

@@ -31,6 +31,9 @@ from apspec.meanvalue import QUADRATURE_FIT_CONSTANT, quadrature_error_scale
 from apspec.quadrature import (
     BUDGET_ENV_VAR,
     REDUCE_BLOCK,
+    index_sum,
+    midpoint_nodes,
+    split_axis,
     symmetric_axes,
     tensor_mean,
     tensor_sum,
@@ -96,6 +99,50 @@ class TestBoxAverage:
             envelope = points ** dim * float(np.sum(np.abs(p.coeffs)
                                                     * np.exp(-0.5 * p.freqs[:, 0])))
             assert abs(got - ref) <= 1e-13 * envelope
+
+    @pytest.mark.parametrize("dim,points", [(1, 65536), (1, 98883), (2, 273), (2, 512),
+                                            (3, 42), (3, 96)])
+    def test_polynomial_kernel_row_groups_keep_the_bits(self, monkeypatch, dim, points):
+        # the kernel multiplies groups of whole rows; any product of two or
+        # more rows rounds each node as one Lead @ Last over the whole grid
+        # does (a one-row product does not), so every block's magnitudes
+        # equal that product's, bit for bit.  Every block here touches
+        # several rows; in 1-D 98883 (a partial last row), 2-D 273 and 3-D 42
+        # one block's rows leave a single row after whole groups
+        p = generate_polynomial(seed=8300 + dim, dim=dim, n_terms=5, radius=2.0,
+                                min_gap=0.5)
+        s, T = 0.5, 60.0
+        weights = p.coeffs * np.exp(-s * p.freqs[:, 0])
+        if dim == 1:
+            _, origins, offsets = split_axis((-T, T, points))
+            lead = np.exp(1j * np.outer(origins, p.freqs[:, 0])) * weights
+            last = np.exp(1j * np.outer(p.freqs[:, 0], offsets))
+        else:
+            nodes = midpoint_nodes(-T, T, points)
+            lead = np.exp(1j * np.outer(nodes, p.freqs[:, 0])) * weights
+            for j in range(1, dim - 1):
+                factor = np.exp(1j * np.outer(nodes, p.freqs[:, j]))
+                lead = (lead[:, None, :] * factor[None, :, :]).reshape(-1, p.n_terms)
+            last = np.exp(1j * np.outer(p.freqs[:, -1], nodes))
+        magnitudes = np.abs((lead @ last).ravel()[:points ** dim])
+        blocks = []
+
+        def recording_index_sum(fn, total, summation, block):
+            def record(start, stop):
+                values = fn(start, stop)
+                blocks.append(values.copy())
+                return values
+
+            return index_sum(record, total, summation, block)
+
+        monkeypatch.setattr(meanvalue, "index_sum", recording_index_sum)
+        for summation in ("compensated", "naive"):
+            blocks.clear()
+            got = meanvalue.poly_abs_grid_sum(p, s, T, points, summation)
+            assert np.concatenate(blocks).tobytes() == magnitudes.tobytes()
+            ref = index_sum(lambda start, stop: magnitudes[start:stop], points ** dim,
+                            summation)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestSeminormLadder:

@@ -13,6 +13,7 @@ from apspec.quadrature import (
     BUDGET_ENV_VAR,
     COMPENSATED,
     KahanAccumulator,
+    REDUCE_BLOCK,
     check_budget,
     default_points_per_axis,
     exp_axis_sums,
@@ -81,7 +82,7 @@ class TestSummation:
         with pytest.raises(PreconditionError, match="plain"):
             reduce_in_blocks(np.arange(10.0), "plain")
         with pytest.raises(PreconditionError, match="plain"):
-            index_sum(lambda idx: np.ones(idx.shape[0]), 8, "plain")
+            index_sum(lambda start, stop: np.ones(stop - start), 8, "plain")
         for walk in (tensor_sum, tensor_mean, tensor_integral):
             with pytest.raises(PreconditionError, match="plain"):
                 walk(ones, axes, "plain")
@@ -143,12 +144,31 @@ class TestTensorRoutines:
 
         by_coords = tensor_sum(lambda c: f(c[:, 0], c[:, 1]), axes, summation, block=4096)
 
-        def by_index(idx):
-            i, j = np.unravel_index(idx, ns)
+        def by_index(start, stop):
+            i, j = np.unravel_index(np.arange(start, stop), ns)
             return f(nodes[0][i], nodes[1][j])
 
         by_idx = index_sum(by_index, grid_points(ns), summation, block=4096)
         assert np.asarray(by_idx).tobytes() == np.asarray(by_coords).tobytes()
+
+    @pytest.mark.parametrize("total,block", [(1, 4096), (4096, 4096), (30401, 4096),
+                                             (65537, REDUCE_BLOCK), (10, 3)])
+    def test_index_sum_bounds_tile_the_indices(self, total, block):
+        # fn sees consecutive [start, stop) bounds in block steps, the last
+        # block partial when block does not divide total
+        seen = []
+
+        def fn(start, stop):
+            seen.append((start, stop))
+            return np.ones(stop - start)
+
+        assert index_sum(fn, total, COMPENSATED, block) == total
+        starts = list(range(0, total, block))
+        assert seen == [(s, min(s + block, total)) for s in starts]
+        assert seen[0][0] == 0 and seen[-1][1] == total
+        assert all(b[0] == a[1] for a, b in zip(seen, seen[1:]))
+        if total % block:
+            assert seen[-1][1] - seen[-1][0] == total % block
 
     def test_grid_points_rejects_empty_axis(self):
         with pytest.raises(PreconditionError):
@@ -178,7 +198,7 @@ class TestExpAxisSums:
         if kind != "imaginary":
             a[1:] += rng.uniform(-8.0, 8.0, 6) / reach
         nodes = midpoint_nodes(lo, hi, n)
-        ref = index_sum(lambda idx: np.exp(np.outer(a, nodes[idx])), n, summation)
+        ref = index_sum(lambda start, stop: np.exp(np.outer(a, nodes[start:stop])), n, summation)
         got = exp_axis_sums(a, (lo, hi, n), summation)
         scale = np.sum(np.abs(np.exp(np.outer(a, nodes))), axis=1)
         assert got.shape == a.shape
