@@ -163,12 +163,8 @@ class TestTensorRoutines:
             return np.ones(stop - start)
 
         assert index_sum(fn, total, COMPENSATED, block) == total
-        starts = list(range(0, total, block))
-        assert seen == [(s, min(s + block, total)) for s in starts]
-        assert seen[0][0] == 0 and seen[-1][1] == total
-        assert all(b[0] == a[1] for a, b in zip(seen, seen[1:]))
-        if total % block:
-            assert seen[-1][1] - seen[-1][0] == total % block
+        assert seen == [(s, min(s + block, total)) for s in range(0, total, block)]
+        assert seen[-1][1] - seen[-1][0] == (total % block or block)
 
     def test_grid_points_rejects_empty_axis(self):
         with pytest.raises(PreconditionError):
