@@ -25,6 +25,7 @@ from .core import (
     sinc,
 )
 from .errors import DimensionMismatchError, EvaluationRangeError, PreconditionError
+from .meanvalue import poly_abs_blocks, sinc_line
 from .quadrature import (
     REDUCE_BLOCK,
     Axis,
@@ -32,7 +33,6 @@ from .quadrature import (
     check_budget,
     grid_points,
     midpoint_nodes,
-    split_axis,
 )
 
 # imaginary shifts below keep sigma * delta at or under this bound;
@@ -164,87 +164,17 @@ def _linspace_axis(half_width: float, n: int) -> Axis:
     return _lattice_axis(-half_width, 2.0 * half_width / (n - 1) if n > 1 else 0.0, n)
 
 
-def _axis_factors(source: FunctionSource, axes):
-    """|f| on the grid as amp * prod_j factor_j[i_j], or None.
+def _block_max(fn, axes, power: int) -> tuple[float, int]:
+    """Max of fn's grid values / prod_j (1 + |x_j|)^power, and its first flat index.
 
-    Sinc products and one-term polynomials factor this way, with
-    non-negative per-axis factors; polynomials with more terms return None.
-    """
-    if source.kind == POLY:
-        if source.poly.n_terms > 1:
-            return None
-        return abs(source.poly.coeffs[0]), [np.ones(int(n)) for (_, _, n) in axes]
-    factors = []
-    for (lo, hi, n) in axes:
-        # in blocks, so a long line holds no temporaries beyond one block
-        out = np.empty(int(n))
-        for start in range(0, out.size, REDUCE_BLOCK):
-            x = lo + (np.arange(start, min(start + REDUCE_BLOCK, out.size)) + 0.5) * ((hi - lo) / n)
-            out[start:start + x.size] = np.abs(sinc(source.scale * x))
-        factors.append(out)
-    return abs(source.amplitude), factors
-
-
-def _abs_blocks(source: FunctionSource, axes):
-    """|f| over the tensor midpoint grid, in C-order blocks.
-
-    Yields (start, values) with values[i] the value at flat index start + i;
-    a block holds about REDUCE_BLOCK nodes.  A polynomial with k terms takes
-    per-axis tables e^{i lam_mj x}, the coefficients folded into the first; a block of grid rows is the product Lead @ Last of the
-    leading axes' table rows and the last axis's table.  One variable is
-    split coarse x fine by split_axis, so it costs about 2 sqrt(n) k
-    exponentials.  Callers check the grid against the point budget first.
+    fn gives the values as poly_abs_blocks does; (0.0, 0) if all are 0.
     """
     shape = [int(n) for (_, _, n) in axes]
     total = math.prod(shape)
-    factors = _axis_factors(source, axes)
-    if factors is not None:
-        amp, per_axis = factors
-        for start in range(0, total, REDUCE_BLOCK):
-            stop = min(start + REDUCE_BLOCK, total)
-            ix = np.unravel_index(np.arange(start, stop), shape) if len(shape) > 1 else [slice(start, stop)]
-            yield start, amp * math.prod(f[i] for f, i in zip(per_axis, ix))
-        return
-    poly = source.poly
-    if len(axes) == 1:
-        _, origins, offsets = split_axis(axes[0])
-        row_nodes, col_nodes = [origins], offsets
-    else:
-        nodes = [midpoint_nodes(*axis) for axis in axes]
-        row_nodes, col_nodes = nodes[:-1], nodes[-1]
-    tables = [np.exp(1j * np.outer(x, poly.freqs[:, j])) for j, x in enumerate(row_nodes)]
-    tables[0] *= poly.coeffs
-    last = np.exp(1j * np.outer(poly.freqs[:, -1], col_nodes))
-    row_shape = [x.size for x in row_nodes]
-    n_rows, cols = math.prod(row_shape), col_nodes.size
-    step = max(1, REDUCE_BLOCK // cols)
-    for r0 in range(0, n_rows, step):
-        ix = np.unravel_index(np.arange(r0, min(r0 + step, n_rows)), row_shape)
-        lead = math.prod(table[i] for table, i in zip(tables, ix))
-        yield r0 * cols, np.abs(lead @ last).ravel()[:total - r0 * cols]
-
-
-def _grid_max(source: FunctionSource, axes, power: int = 0) -> tuple[float, int]:
-    """Max of |f(x)| / prod_j (1 + |x_j|)^power over a tensor midpoint grid.
-
-    Returns the max and its first flat index in C order (0 when f vanishes
-    on the grid).  Where |f| factors over the axes (_axis_factors) the max
-    is the product of per-axis maxima; otherwise the blocks of _abs_blocks
-    are reduced by max.
-    """
-    shape = [int(n) for (_, _, n) in axes]
-    grid_points(shape)
     weights = [(1.0 + np.abs(midpoint_nodes(*axis))) ** power for axis in axes] if power else None
-    factors = _axis_factors(source, axes)
-    if factors is not None:
-        amp, per_axis = factors
-        if weights:
-            per_axis = [f / w for f, w in zip(per_axis, weights)]
-        ix = [int(np.argmax(f)) for f in per_axis]
-        best = amp * math.prod(float(f[i]) for f, i in zip(per_axis, ix))
-        return (best, int(np.ravel_multi_index(ix, shape))) if best > 0 else (0.0, 0)
     best, index = 0.0, 0
-    for start, values in _abs_blocks(source, axes):
+    for start in range(0, total, REDUCE_BLOCK):
+        values = fn(start, min(start + REDUCE_BLOCK, total))
         if weights:
             ix = np.unravel_index(np.arange(start, start + values.size), shape)
             values = values / math.prod(w[i] for w, i in zip(weights, ix))
@@ -252,6 +182,49 @@ def _grid_max(source: FunctionSource, axes, power: int = 0) -> tuple[float, int]
         if values[i] > best:
             best, index = float(values[i]), start + i
     return best, index
+
+
+def _sinc_axis_max(scale: float, axis: Axis, power: int) -> tuple[float, int]:
+    """First max of |sinc(a x)| / (1 + |x|)^power over one axis's midpoints.
+
+    A line within one block takes core.sinc at every node.  A longer one
+    takes sinc_line, exact (core.sinc) where |a x| < guard and from its
+    tables, up to their phase rounding, elsewhere.  With M the value at the
+    node nearest 0, guard = 2/M: past it |sinc(a x)| <= M/2, so the max and
+    its first index are the pointwise walk's.
+    """
+    lo, hi, n = axis
+    if n <= REDUCE_BLOCK:
+        return _block_max(lambda start, stop: np.abs(sinc(scale * midpoint_nodes(*axis))), [axis], power)
+    h = (hi - lo) / n
+    x = lo + (min(n - 1, max(0, round(-lo / h - 0.5))) + 0.5) * h if h else lo
+    m = abs(float(sinc(scale * x))) / (1.0 + abs(x)) ** power
+    guard = 2.0 / m if m > 0 else math.inf
+    return _block_max(sinc_line(scale, axis, guard=guard, block=REDUCE_BLOCK), [axis], power)
+
+
+def _grid_max(source: FunctionSource, axes, power: int = 0) -> tuple[float, int]:
+    """Max of |f(x)| / prod_j (1 + |x_j|)^power over a tensor midpoint grid.
+
+    Returns the max and its first flat index in C order (0 when f vanishes
+    on the grid).  Sinc products and one-term polynomials factor into
+    non-negative per-axis factors, so the max is |A| times one per-axis max
+    per distinct axis; other polynomials reduce poly_abs_blocks.
+    """
+    shape = [int(n) for (_, _, n) in axes]
+    grid_points(shape)
+    if source.kind == POLY and source.poly.n_terms > 1:
+        return _block_max(poly_abs_blocks(source.poly, axes, block=REDUCE_BLOCK), axes, power)
+    if source.kind == POLY:
+        amp = abs(source.poly.coeffs[0])
+        maxima = {axis: _block_max(lambda start, stop: np.broadcast_to(1.0, stop - start),
+                                   [axis], power) for axis in set(axes)}
+    else:
+        amp = abs(source.amplitude)
+        maxima = {axis: _sinc_axis_max(source.scale, axis, power) for axis in set(axes)}
+    best = amp * math.prod(maxima[axis][0] for axis in axes)
+    index = int(np.ravel_multi_index([maxima[axis][1] for axis in axes], shape))
+    return (best, index) if best > 0 else (0.0, 0)
 
 
 def logvinenko_check(source: FunctionSource, sigma: float, delta: float,
@@ -288,19 +261,36 @@ def _weighted_log_integral(source: FunctionSource, x0: float, s: float,
                            t_half_width: float, n_points: int) -> tuple[float, float]:
     """Truncated Poisson integral of log|g| and the largest |log| sample.
 
-    The values g(x0 + t) come in blocks from _abs_blocks over the window
-    shifted by x0; each block's weighted sum is one partial of the
-    compensated total.
+    |g(x0 + t)| comes from sinc_line, a constant or poly_abs_blocks; each
+    block's clamped log, t and sum of log / (t^2 + s^2) go through buffers
+    made once per call, and the block sums are added with compensation.
     """
     h = 2.0 * t_half_width / n_points
+    block = min(REDUCE_BLOCK, n_points)
+    axes = [(x0 - t_half_width, x0 + t_half_width, n_points)]
+    if source.kind != POLY:
+        values = sinc_line(source.scale, axes[0], amp=abs(source.amplitude), block=block)
+    elif source.poly.n_terms == 1:
+        values = lambda start, stop: np.broadcast_to(abs(source.poly.coeffs[0]), stop - start)
+    else:
+        values = poly_abs_blocks(source.poly, axes, block=block)
+    offsets, logs, weight = np.empty((3, block))  # one allocation, as in _row_products
+    offsets.fill(1.0)
+    np.cumsum(offsets, out=offsets)  # 1, 2, ... exactly, with no temporary
+    offsets *= h
     acc = KahanAccumulator()
     log_peak = 0.0
-    for start, vals in _abs_blocks(source, [(x0 - t_half_width, x0 + t_half_width, n_points)]):
-        t = -t_half_width + (np.arange(start, start + vals.size) + 0.5) * h
-        logs = np.log(np.maximum(vals, 1e-300))
-        log_peak = max(log_peak, float(np.max(np.abs(logs))))
-        acc.add(float(np.add.reduce(logs * (h * (s / math.pi) / (t * t + s * s)))))
-    return acc.total, log_peak
+    for start in range(0, n_points, block):
+        vals = values(start, min(start + block, n_points))
+        lb, wb = logs[:vals.size], weight[:vals.size]
+        np.log(np.maximum(vals, 1e-300, out=lb), out=lb)
+        log_peak = max(log_peak, float(lb.max()), -float(lb.min()))
+        np.add(offsets[:wb.size], (start - 0.5) * h - t_half_width, out=wb)  # t
+        np.multiply(wb, wb, out=wb)
+        wb += s * s
+        np.divide(lb, wb, out=wb)
+        acc.add(float(np.add.reduce(wb)))
+    return acc.total * (h * s / math.pi), log_peak
 
 
 def poisson_majorant_check(source: FunctionSource, x0: float, s: float,

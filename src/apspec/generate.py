@@ -44,10 +44,9 @@ def generate_polynomial(seed: int, dim: int = 1, n_terms: int = 5,
                 "%d frequencies with per-axis gap %g cannot fit inside radius %g (at most %d)"
                 % (n_terms, min_gap, radius, most))
     rng = np.random.default_rng(seed)
-    accepted: list[np.ndarray] = []
-    tries = 0
-    since_last = 0
-    while len(accepted) < n_terms:
+    freqs = np.empty((n_terms, dim))
+    placed = tries = since_last = 0
+    while placed < n_terms:
         tries += 1
         if tries > max_tries:
             raise PreconditionError(
@@ -55,16 +54,16 @@ def generate_polynomial(seed: int, dim: int = 1, n_terms: int = 5,
                 % (n_terms, min_gap, radius))
         if since_last > 200:
             # a partial placement can block every remaining slot; start over
-            accepted.clear()
-            since_last = 0
+            placed = since_last = 0
         direction = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
+        norm = math.sqrt(direction.dot(direction))  # np.linalg.norm's formula
         if norm == 0.0:
             continue
         r = radius * rng.uniform() ** (1.0 / dim)
         lam = (r / norm) * direction
-        if all(np.all(np.abs(lam - mu) >= min_gap) for mu in accepted):
-            accepted.append(lam)
+        if np.all(np.abs(freqs[:placed] - lam) >= min_gap):
+            freqs[placed] = lam
+            placed += 1
             since_last = 0
         else:
             since_last += 1
@@ -72,4 +71,4 @@ def generate_polynomial(seed: int, dim: int = 1, n_terms: int = 5,
     mags = rng.uniform(lo, hi, size=n_terms)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n_terms)
     coeffs = mags * np.exp(1j * phases)
-    return TrigPolynomial(dim=dim, freqs=np.array(accepted), coeffs=coeffs)
+    return TrigPolynomial(dim=dim, freqs=freqs, coeffs=coeffs)

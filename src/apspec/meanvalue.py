@@ -27,7 +27,6 @@ from .core import (
     FunctionSource,
     TrigPolynomial,
     coefficient_l1_bound,
-    eval_real,
     guard_term_exponents,
     rotate,
     sinc,
@@ -36,6 +35,7 @@ from .errors import DimensionMismatchError, PreconditionError
 from .quadrature import (
     COMPENSATED,
     REDUCE_BLOCK,
+    Axis,
     LadderSpec,
     QuadratureSpec,
     exp_axis_sums,
@@ -44,7 +44,6 @@ from .quadrature import (
     midpoint_nodes,
     split_axis,
     symmetric_axes,
-    tensor_mean,
     tensor_sum,
 )
 
@@ -58,8 +57,8 @@ QUADRATURE_FIT_CONSTANT = 0.01
 # safety factor applied to the threshold floor for non-polynomial sources
 NONPOLY_FLOOR_FACTOR = 10.0
 
-# nodes of whole rows per Lead @ Last product in poly_abs_grid_sum; a
-# quarter block keeps its complex scratch well below a block's
+# nodes of whole rows per Lead @ Last product in _row_products; a quarter
+# block keeps its scratch well below a block's
 _ABS_ROW_GROUP = REDUCE_BLOCK // 4
 
 
@@ -103,106 +102,151 @@ class RotationIdentityResult:
     gap: float
 
 
-def poly_abs_grid_sum(poly: TrigPolynomial, s: float, half_width: float, n: int,
-                      summation: str = COMPENSATED) -> float:
-    """Plain sum of |f(x1 + is, x')| over the n^p midpoint grid of [-T, T]^p.
+def _row_products(tables, last: np.ndarray, total: int, block: int, finish):
+    """fn(start, stop), stop - start <= block: a grid's nodes in one reused buffer.
 
-    Each term factors over the axes as c_m e^{-s lam_m1} prod_j e^{i x_j lam_mj}.
-    With Lead[r, m] the product of the leading-axis factors at row r of the
-    grid and Last[m, c] = e^{i x_p lam_mp}, the node values are the matrix
-    product Lead @ Last, so only k x n exponentials per axis are computed.
-    One variable is split into coarse x fine nodes by split_axis, and the
-    walk stops after n nodes.  The walk keeps index_sum's blocks and
-    summation: each block's magnitudes fill one block-sized buffer, built
-    from products over groups of whole rows of about _ABS_ROW_GROUP nodes (a
-    row longer than a block is multiplied in pieces of at most two).  All
-    scratch buffers are made once per call.
+    Grid row r (C order over the tables' lengths) is the product of one row
+    of each (n_j, k) table, times last (k, cols), for total nodes in all;
+    finish(values, pos, out) maps the products at nodes pos, ... to out.
+    Every buffer is made here, once.
     """
-    p = poly.dim
-    total = grid_points([n] * p)
-    damp = s * poly.freqs[:, 0]
-    guard_term_exponents(damp)
-    weights = poly.coeffs * np.exp(-damp)
-    if p == 1:
-        cols, origins, offsets = split_axis((-half_width, half_width, n))
-        row_shape = [origins.size]
-        row_tables = [np.exp(1j * np.outer(origins, poly.freqs[:, 0]))]
-        last = np.exp(1j * np.outer(poly.freqs[:, 0], offsets))
-    else:
-        cols = n
-        row_shape = [n] * (p - 1)
-        nodes = midpoint_nodes(-half_width, half_width, n)
-        row_tables = [np.exp(1j * np.outer(nodes, poly.freqs[:, j])) for j in range(p - 1)]
-        last = np.exp(1j * np.outer(poly.freqs[:, -1], nodes))
-    row_tables[0] = row_tables[0] * weights
-    block = min(REDUCE_BLOCK, total)
+    row_shape = [table.shape[0] for table in tables]
+    cols = last.shape[1]
     # at least two rows per product: a one-row product takes numpy's
     # vector-matrix route, whose rounding differs from the matrix product's
     group = max(2, _ABS_ROW_GROUP // cols)
     # a block touches at most (block - 1) // cols + 2 rows
     span = min(group + 1, (block - 1) // cols + 2, math.prod(row_shape))
-    values = np.empty(span * cols if cols <= block else block, dtype=np.complex128)
-    magnitudes = np.empty(block)
-    lead = np.empty((span, poly.n_terms), dtype=np.complex128)
-    factor = np.empty_like(lead)
+    dtype = last.dtype
+    size = (span * cols if cols <= block else block) * dtype.itemsize // 8
+    # one allocation: buffers spread over several fault in again on every call
+    scratch = np.empty(size + block)
+    values, out = scratch[:size].view(dtype), scratch[size:]
+    lead, factor = np.empty((2, span, last.shape[0]), dtype=dtype)
 
     def lead_rows(r0: int, r1: int) -> np.ndarray:
-        if p <= 2:
-            return row_tables[0][r0:r1]
+        if len(tables) == 1:
+            return tables[0][r0:r1]
         ix = np.unravel_index(np.arange(r0, r1), row_shape)
         m = r1 - r0
         # mode="clip" writes straight into out; the indices are in range
-        np.take(row_tables[0], ix[0], axis=0, out=lead[:m], mode="clip")
-        for table, i in zip(row_tables[1:], ix[1:]):
+        np.take(tables[0], ix[0], axis=0, out=lead[:m], mode="clip")
+        for table, i in zip(tables[1:], ix[1:]):
             np.take(table, i, axis=0, out=factor[:m], mode="clip")
             np.multiply(lead[:m], factor[:m], out=lead[:m])
         return lead[:m]
 
     def fn(start: int, stop: int) -> np.ndarray:
-        if cols <= block:
-            r, r_end = start // cols, (stop - 1) // cols + 1
-            pos = start
-            while r < r_end:
-                r1 = min(r + group, r_end)
+        pos, r_end = start, (stop - 1) // cols + 1
+        while pos < stop:
+            r, c0 = divmod(pos, cols)
+            if cols <= block:
+                r1, c0, c1 = min(r + group, r_end), 0, cols
                 if r_end - r1 == 1:
                     r1 = r_end  # never leave one row for a product of its own
-                rows = values[:(r1 - r) * cols]
-                np.matmul(lead_rows(r, r1), last, out=rows.reshape(r1 - r, cols))
-                end = min(stop, r1 * cols)
-                np.abs(rows[pos - r * cols:end - r * cols], out=magnitudes[pos - start:end - start])
-                pos, r = end, r1
-        else:
-            # rows longer than a block: each block covers pieces of at most two
-            pos = start
-            while pos < stop:
-                r, c = divmod(pos, cols)
-                width = min(cols - c, stop - pos)
-                piece = values[:width]
-                np.matmul(lead_rows(r, r + 1), last[:, c:c + width], out=piece.reshape(1, width))
-                np.abs(piece, out=magnitudes[pos - start:pos - start + width])
-                pos += width
-        # the next block overwrites the buffer; index_sum has reduced it by then
-        return magnitudes[:stop - start]
+            else:
+                r1, c1 = r + 1, min(cols, c0 + stop - pos)  # part of a row longer than a block
+            rows = values[:(r1 - r) * (c1 - c0)]
+            np.matmul(lead_rows(r, r1), last[:, c0:c1], out=rows.reshape(r1 - r, c1 - c0))
+            end, first = min(stop, (r1 - 1) * cols + c1), pos - r * cols - c0
+            finish(rows[first:first + end - pos], pos, out[pos - start:end - start])
+            pos = end
+        return out[:stop - start]
 
-    return float(index_sum(fn, total, summation, REDUCE_BLOCK))
+    return fn
+
+
+def sinc_line(a: float, axis: Axis, s: float = 0.0, amp: float = 1.0,
+              block: int = REDUCE_BLOCK, guard: float = 1.0):
+    """amp |sinc(a (x + is))| at the midpoints x of one axis, as _row_products.
+
+    Over split_axis's rows o and offsets f, sin(a(o + f)) = sin(ao) cos(af)
+    + cos(ao) sin(af) is a two-term Lead @ Last, about 4 sqrt(n) sines in
+    place of n; |sin(a(x + is))| = hypot(sin(ax), sinh(as)).  Near x + is =
+    0 the quotient by |a| hypot(x, s) loses the accuracy of sin(ax), so
+    nodes with |a(x + is)| < guard (at least 1) take core.sinc.
+    """
+    lo, hi, n = axis
+    h = (hi - lo) / n
+    guard_term_exponents(np.array([a * s]))
+    _, origins, offsets = split_axis(axis)
+    lead = np.stack([np.sin(a * origins), np.cos(a * origins)], axis=1)
+    last = amp * np.stack([np.cos(a * offsets), np.sin(a * offsets)])
+    # |a(x + is)| < guard where |x| < reach
+    reach = math.sqrt(max(0.0, (guard / a) * (guard / a) - s * s)) if a else math.inf
+    block = min(block, int(n))
+
+    def finish(values: np.ndarray, pos: int, out: np.ndarray):
+        out.fill(1.0)
+        np.cumsum(out, out=out)  # 1, 2, ... exactly, with no temporary
+        out += pos - 0.5
+        out *= h
+        out += lo  # the midpoints, rounded as midpoint_nodes rounds them
+        i0 = int(out.searchsorted(-reach, "right"))
+        i1 = max(i0, int(out.searchsorted(reach, "left")))
+        if i1 > i0:
+            near = amp * np.abs(sinc(a * out[i0:i1] + 1j * (a * s) if s else a * out[i0:i1]))
+        if s:
+            np.hypot(out, s, out=out)
+            np.hypot(values, amp * math.sinh(a * s), out=values)
+        else:
+            np.abs(out, out=out)
+            np.abs(values, out=values)
+        out *= abs(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(values, out, out=out)
+        if i1 > i0:
+            out[i0:i1] = near
+
+    return _row_products([lead], last, int(n), block, finish)
+
+
+def poly_abs_blocks(poly: TrigPolynomial, axes, s: float = 0.0, block: int = REDUCE_BLOCK):
+    """|f(x1 + is, x')| on the midpoint grid of axes, as _row_products gives it.
+
+    Term m is c_m e^{-s lam_m1} prod_j e^{i x_j lam_mj}: the leading axes'
+    tables (weights in the first) times Last[m, c] = e^{i x_p lam_mp}, so
+    each axis costs k x n exponentials; one variable is split by
+    split_axis.  Callers check the grid against the point budget.
+    """
+    total = math.prod(int(n) for (_, _, n) in axes)
+    damp = s * poly.freqs[:, 0]
+    guard_term_exponents(damp)
+    if len(axes) == 1:
+        _, origins, offsets = split_axis(axes[0])
+        row_nodes, col_nodes = [origins], offsets
+    else:
+        nodes = {axis: midpoint_nodes(*axis) for axis in set(axes)}
+        row_nodes, col_nodes = [nodes[axis] for axis in axes[:-1]], nodes[axes[-1]]
+    tables = [np.exp(1j * np.outer(x, poly.freqs[:, j])) for j, x in enumerate(row_nodes)]
+    tables[0] = tables[0] * (poly.coeffs * np.exp(-damp))
+    last = np.exp(1j * np.outer(poly.freqs[:, -1], col_nodes))
+    return _row_products(tables, last, total, min(block, total),
+                         lambda values, pos, out: np.abs(values, out=out))
+
+
+def abs_grid_sum(source: FunctionSource, axes, s: float = 0.0,
+                 summation: str = COMPENSATED) -> float:
+    """Plain sum of |f(x1 + is, x')| over the tensor midpoint grid of axes.
+
+    Polynomials sum poly_abs_blocks by index_sum.  A sinc product's sum is
+    |A| prod_j sum_i |sinc(a x_ji)|, with x_1i + is in the first factor.
+    """
+    total = grid_points([n for (_, _, n) in axes])
+    if source.kind == POLY:
+        return float(index_sum(poly_abs_blocks(source.poly, axes, s, REDUCE_BLOCK), total,
+                               summation, REDUCE_BLOCK))
+    sums = [index_sum(sinc_line(source.scale, axis, s if j == 0 else 0.0, block=REDUCE_BLOCK),
+                      int(axis[2]), summation, REDUCE_BLOCK)
+            for j, axis in enumerate(axes)]
+    return float(abs(source.amplitude) * math.prod(sums))
 
 
 def box_average_abs(source: FunctionSource, quad: QuadratureSpec) -> float:
-    """Normalized mean of |f| over [-T, T]^p on the midpoint grid.
-
-    Polynomials take poly_abs_grid_sum (per-axis tables and a matrix
-    product); sinc products are evaluated node by node.
-    """
+    """Normalized mean of |f| over [-T, T]^p on the midpoint grid (abs_grid_sum)."""
     n = quad.points_per_axis
-    if source.kind == POLY:
-        return poly_abs_grid_sum(source.poly, 0.0, quad.half_width, n,
-                                 quad.summation) / n ** source.dim
-    axes = symmetric_axes(quad.half_width, n, source.dim)
-
-    def fn(coords: np.ndarray) -> np.ndarray:
-        return np.abs(eval_real(source, coords))
-
-    return float(tensor_mean(fn, axes, quad.summation))
+    return abs_grid_sum(source, symmetric_axes(quad.half_width, n, source.dim), 0.0,
+                        quad.summation) / n ** source.dim
 
 
 def besicovitch_seminorm(source: FunctionSource, ladder: LadderSpec,

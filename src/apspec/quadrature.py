@@ -264,15 +264,6 @@ def tensor_integral(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis]
     return tensor_sum(fn, axes, summation) * cell
 
 
-def tensor_mean(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
-                summation: str = COMPENSATED):
-    """Mean of fn over the tensor midpoint grid (sum / node count)."""
-    count = 1
-    for (_, _, n) in axes:
-        count *= int(n)
-    return tensor_sum(fn, axes, summation) / count
-
-
 def symmetric_axes(half_width: float, points_per_axis: int, dim: int) -> list[Axis]:
     return [(-half_width, half_width, points_per_axis)] * dim
 

@@ -25,8 +25,8 @@ from .entire import (
 from .errors import ApspecError, PreconditionError
 from .meanvalue import (
     SpectrumReport,
+    abs_grid_sum,
     besicovitch_seminorm,
-    poly_abs_grid_sum,
     spectrum_scan,
 )
 from .quadrature import (
@@ -118,18 +118,8 @@ def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
     p = source.dim
     half_width = quad.half_width
     n = quad.points_per_axis
-    if source.kind == POLY:
-        cell = math.prod([2.0 * half_width / n] * p)
-        raw = poly_abs_grid_sum(source.poly, s, half_width, n, quad.summation) * cell
-    else:
-        axes = [(-half_width, half_width, n)] * p
-        shift = np.zeros(p)
-        shift[0] = s
-
-        def fn(coords: np.ndarray) -> np.ndarray:
-            return np.abs(eval_complex(source, coords + 1j * shift))
-
-        raw = tensor_integral(fn, axes, quad.summation)
+    axes = [(-half_width, half_width, n)] * p
+    raw = abs_grid_sum(source, axes, s, quad.summation) * math.prod([2.0 * half_width / n] * p)
     lhs = float(raw) * math.exp(-s * sigma)
     norm = _resolve_norm(source, norm_value, norm_ladder, norm_quad)
     constant = strip_bound_constant(p, norm)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspec import (
@@ -14,8 +14,11 @@ from apspec import (
     DimensionMismatchError,
     FunctionSource,
     PreconditionError,
+    QuadratureSpec,
     TrigPolynomial,
+    box_average_abs,
     estimate_type,
+    eval_complex,
     eval_real,
     exact_type,
     generate_polynomial,
@@ -25,8 +28,9 @@ from apspec import (
     logvinenko_check,
     phragmen_lindelof_check,
     poisson_majorant_check,
+    strip_integral_bound,
 )
-from apspec import entire
+from apspec import entire, meanvalue
 from apspec.entire import (
     UNIMODULAR_LOG_TOL,
     _grid_max,
@@ -35,11 +39,13 @@ from apspec.entire import (
     _weighted_log_integral,
     make_check,
 )
+from apspec.meanvalue import abs_grid_sum, sinc_line
 from apspec.quadrature import (
     BUDGET_ENV_VAR,
     REDUCE_BLOCK,
     KahanAccumulator,
     full_grid,
+    index_sum,
     midpoint_nodes,
 )
 
@@ -49,13 +55,18 @@ EPS = np.finfo(float).eps
 REF_CHUNK = 1 << 18
 
 
-def ref_grid_values(source, axes, power=0):
-    """|f(x)| / prod_j (1 + |x_j|)^power at every node of the grid, in C order."""
+def ref_grid_values(source, axes, power=0, s=0.0):
+    """|f(x1 + is, x')| / prod_j (1 + |x_j|)^power at every node of the grid, in C order."""
     pts = full_grid([midpoint_nodes(*axis) for axis in axes])
+    shift = np.zeros(len(axes))
+    shift[0] = s
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], REF_CHUNK):
         chunk = pts[start:start + REF_CHUNK]
-        vals = np.abs(eval_real(source, chunk))
+        if s:
+            vals = np.abs(eval_complex(source, chunk + 1j * shift))
+        else:
+            vals = np.abs(eval_real(source, chunk))
         if power:
             vals = vals / np.prod((1.0 + np.abs(chunk)) ** power, axis=1)
         out[start:start + chunk.shape[0]] = vals
@@ -90,20 +101,39 @@ def source_scale(source):
     return abs(source.amplitude), abs(source.scale)
 
 
-def max_kernel_tolerance(source, axes):
-    """4 eps C (p + k + Phi), Phi the largest phase sum_j |lam_mj| max|x_j| on the grid.
+def kernel_tolerance(source, axes, s=0.0, extra=0.0):
+    """4 eps C (p + k + Phi + extra) for one node of |f(x1 + is, x')| on the grid.
 
-    Both routes round O(p + k) times per node relative to C, and they round
-    each term's phase differently (one exp of the summed phase against a
-    product of per-axis exps), which moves a term by up to eps * Phi * |c_m|.
-    Sinc factors take the same arguments in both routes, so Phi = 0, k = 1.
+    C bounds |f(x1 + is, x')|: the l1 norm of c_m e^{-s lam_m1}, or
+    |A| cosh(a s) for a sinc product (k = 1).  Both routes round O(p + k)
+    times per node relative to C, and they round each polynomial term's
+    phase differently (one exp of the summed phase against a product of
+    per-axis exps), which moves a term by up to eps * Phi * |c_m|, Phi the
+    largest phase sum_j |lam_mj| max|x_j| on the grid.  Sinc maxima take
+    core.sinc's own arguments in both routes, so Phi = 0 there; a caller
+    that compares sinc tables passes sinc_phase in extra, and a sum over N
+    nodes passes log2 N.
     """
     p = len(axes)
     if source.kind != "poly":
-        return 4 * EPS * abs(source.amplitude) * (p + 1)
+        c = abs(source.amplitude) * math.cosh(abs(source.scale) * s)
+        return 4 * EPS * c * (p + 1 + extra)
     reach = np.array([max(abs(lo), abs(hi)) for (lo, hi, _) in axes])
-    phi = float(np.max(np.abs(source.poly.freqs) @ reach))
-    return 4 * EPS * source.poly.coefficient_l1() * (p + source.poly.n_terms + phi)
+    poly = source.poly
+    c = float(np.sum(np.abs(poly.coeffs) * np.exp(-s * poly.freqs[:, 0])))
+    phi = float(np.max(np.abs(poly.freqs) @ reach))
+    return 4 * EPS * c * (p + poly.n_terms + phi + extra)
+
+
+def sinc_phase(source, axes):
+    """|a| sum_j max|x_j| for a sinc product, else 0.
+
+    A sinc table takes sin(a(o + f)) by the addition formula where the
+    walk takes sin(ax), so a node's phase moves by up to eps times this.
+    """
+    if source.kind == "poly":
+        return 0.0
+    return abs(source.scale) * sum(max(abs(lo), abs(hi)) for (lo, hi, _) in axes)
 
 
 def single_exp(lam):
@@ -312,13 +342,37 @@ def grid_cases(draw):
     else:
         axis = _lattice_axis(-half_width, draw(st.floats(0.01, 1.0)), n)
     power = draw(st.sampled_from([0, dim]))
-    block = draw(st.sampled_from([7, 64, 1000, REDUCE_BLOCK]))
-    return source, [axis] * dim, power, block
+    block = draw(st.one_of(st.sampled_from([7, 64, 1000, REDUCE_BLOCK]),
+                           st.integers(7, REDUCE_BLOCK)))
+    s = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return source, [axis] * dim, power, block, s
+
+
+# undersampled grids at T = 400, a node at x = 0 (odd linspace) and one
+# 1e-13 from it: without the |a x| < 1 guard a sinc table divides the
+# rounding of sin(a x) by a x there and loses every digit.  On the 56-node
+# line the max lies past |a x| = 1, where table values miss it by ~3x the
+# max kernel's bound, so the max must come from core.sinc there too
+HARD_CASES = [
+    (FunctionSource.sinc_product(1, scale=1.301), [_linspace_axis(400.0, 56)], 0, 7, 0.0),
+    (FunctionSource.sinc_product(1, scale=1.7, amplitude=2.0 * np.exp(0.4j)),
+     [_linspace_axis(400.0, 17)], 1, 7, 0.5),
+    (random_source(np.random.default_rng(41), 1, 5, False), [_linspace_axis(400.0, 41)], 0, 64, 1.0),
+    (random_source(np.random.default_rng(17), 2, 3, False), [_linspace_axis(400.0, 17)] * 2, 2, 7, 0.3),
+    (FunctionSource.sinc_product(2, scale=0.9, amplitude=1.5),
+     [_lattice_axis(-5.0 + 1e-13, 0.25, 41)] * 2, 2, 64, 0.0),
+]
+
+
+def with_hard_cases(test):
+    for case in HARD_CASES:
+        test = example(case)(test)
+    return test
 
 
 def assert_matches_reference(source, axes, power, best, index):
     ref = ref_grid_values(source, axes, power)
-    tol = max_kernel_tolerance(source, axes)
+    tol = kernel_tolerance(source, axes)
     ref_index = int(np.argmax(ref))
     assert abs(best - ref[ref_index]) <= tol
     # the first maximal node in C order; a node within the rounding of the
@@ -332,12 +386,48 @@ def assert_matches_reference(source, axes, power, best, index):
 
 class TestGridMaxKernel:
     @given(grid_cases())
+    @with_hard_cases
     @settings(max_examples=80, deadline=None)
     def test_matches_pointwise_reference(self, case):
-        source, axes, power, block = case
+        source, axes, power, block, _ = case
         with mock.patch.object(entire, "REDUCE_BLOCK", block):
             best, index = _grid_max(source, axes, power)
         assert_matches_reference(source, axes, power, best, index)
+
+    @given(grid_cases())
+    @with_hard_cases
+    @settings(max_examples=60, deadline=None)
+    def test_sum_matches_pointwise_walk(self, case):
+        # the shifted sum reducer of box means and strips against |f| node by
+        # node, summed over the same blocks
+        source, axes, _, block, s = case
+        with mock.patch.object(meanvalue, "REDUCE_BLOCK", block):
+            got = abs_grid_sum(source, axes, s)
+        ref = ref_grid_values(source, axes, s=s)
+        total = index_sum(lambda start, stop: ref[start:stop], ref.size, "compensated", block)
+        extra = sinc_phase(source, axes) + math.log2(ref.size)
+        assert abs(got - total) <= ref.size * kernel_tolerance(source, axes, s, extra)
+
+    @given(grid_cases())
+    @with_hard_cases
+    @settings(max_examples=60, deadline=None)
+    def test_sinc_tables_match_pointwise_walk(self, case):
+        # the first axis as a sinc line, node by node against core.sinc; a
+        # polynomial case lends its largest frequency as the scale
+        source, axes, _, block, s = case
+        if source.kind == "poly":
+            line_source = FunctionSource.sinc_product(
+                1, scale=float(np.max(np.abs(source.poly.freqs))))
+        else:
+            line_source = FunctionSource.sinc_product(
+                1, scale=source.scale, amplitude=source.amplitude)
+        n = axes[0][2]
+        line = sinc_line(line_source.scale, axes[0], s, abs(line_source.amplitude), block)
+        got = np.concatenate([line(start, min(start + block, n)).copy()
+                              for start in range(0, n, block)])
+        ref = ref_grid_values(line_source, axes[:1], s=s)
+        tol = kernel_tolerance(line_source, axes[:1], s, sinc_phase(line_source, axes[:1]))
+        assert np.max(np.abs(got - ref)) <= tol
 
     @pytest.mark.parametrize("dim,n", [(1, 200001), (2, 300), (3, 50)])
     def test_default_blocks_match_reference(self, dim, n):
@@ -437,6 +527,28 @@ class TestMajorantMemory:
         peak = traced_peak(lambda: logvinenko_check(
             source, sigma=1.0, delta=0.25, half_width=20.0, dense_per_axis=461))
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("source", [
+        FunctionSource.sinc_product(1, scale=0.8, amplitude=1.5),
+        FunctionSource.constant(2.0),
+        line_slice(FunctionSource.from_poly(generate_polynomial(
+            seed=7003, dim=3, n_terms=5, radius=2.0, min_gap=0.5)), [0.4, -1.2]),
+    ], ids=["sinc", "constant", "slice5"])
+    def test_line_checks_hold_a_few_blocks(self, source):
+        # 400000 Poisson nodes and 200001 sup nodes in one-block buffers made
+        # once per call; fresh per-block temporaries peaked at 3.1-5.6 MB
+        assert traced_peak(lambda: poisson_majorant_check(source, x0=0.3, s=1.0)) < 4 << 20
+        assert traced_peak(lambda: phragmen_lindelof_check(source, x=0.3, y=1.0)) < 4 << 20
+
+    @pytest.mark.parametrize("dim,n", [(1, 10 ** 7 + 1), (2, 10 ** 4), (3, 464)])
+    def test_sinc_box_mean_and_strip_near_budget(self, dim, n):
+        # 10^8 nodes in two and three variables (10^7 in one): one sinc line
+        # per axis, walked in blocks, whatever the grid
+        f = FunctionSource.sinc_product(dim, scale=0.7, amplitude=1.3)
+        q = QuadratureSpec(half_width=100.0, points_per_axis=n)
+        assert traced_peak(lambda: box_average_abs(f, q)) < 4 << 20
+        assert traced_peak(lambda: strip_integral_bound(f, sigma=1.0, s=0.5, quad=q,
+                                                        norm_value=1.0)) < 4 << 20
 
     def test_two_dim_polynomial_envelope(self):
         f = FunctionSource.from_poly(generate_polynomial(

@@ -35,7 +35,6 @@ from apspec.quadrature import (
     midpoint_nodes,
     split_axis,
     symmetric_axes,
-    tensor_mean,
     tensor_sum,
 )
 
@@ -76,9 +75,26 @@ class TestBoxAverage:
                                     radius=2.0, min_gap=0.5)
             f = FunctionSource.from_poly(p)
             q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
-            ref = tensor_mean(lambda c: np.abs(eval_real(f, c)),
-                              symmetric_axes(T, points, dim), summation)
+            ref = tensor_sum(lambda c: np.abs(eval_real(f, c)),
+                             symmetric_axes(T, points, dim), summation) / points ** dim
             assert abs(box_average_abs(f, q) - ref) <= 1e-13 * p.coefficient_l1()
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 17, 400.0), (2, 300, 137.0),
+                                              (2, 41, 400.0), (3, 41, 50.0)])
+    def test_sinc_factor_sums_match_pointwise_walk(self, dim, points, T, summation):
+        # |A| prod_j sum_i |sinc(a x_i)| against |f| node by node (the walk
+        # this route replaced); 17 and 41 nodes at T = 400 undersample and
+        # put a node at x = 0.  Bound fixed beforehand: 4 eps |A| (p + 1 +
+        # Phi + log2 N) with Phi = |a| p T, the addition formula's phase error
+        for scale, amplitude in ((0.8, 1.5), (2.3, 0.7 - 0.4j)):
+            f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
+            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            ref = tensor_sum(lambda c: np.abs(eval_real(f, c)),
+                             symmetric_axes(T, points, dim), summation) / points ** dim
+            bound = 4 * np.finfo(float).eps * abs(amplitude) * (
+                dim + 1 + scale * dim * T + math.log2(points ** dim))
+            assert abs(box_average_abs(f, q) - ref) <= bound
 
     @pytest.mark.parametrize("dim,points", [(1, 10000), (2, 64)])
     def test_polynomial_kernel_rows_longer_than_block(self, monkeypatch, dim, points):
@@ -93,7 +109,7 @@ class TestBoxAverage:
         shift = np.zeros(dim)
         shift[0] = 0.5
         for summation in ("compensated", "naive"):
-            got = meanvalue.poly_abs_grid_sum(p, 0.5, 60.0, points, summation)
+            got = meanvalue.abs_grid_sum(f, symmetric_axes(60.0, points, dim), 0.5, summation)
             ref = tensor_sum(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
                              symmetric_axes(60.0, points, dim), summation, block=50)
             envelope = points ** dim * float(np.sum(np.abs(p.coeffs)
@@ -138,7 +154,8 @@ class TestBoxAverage:
         monkeypatch.setattr(meanvalue, "index_sum", recording_index_sum)
         for summation in ("compensated", "naive"):
             blocks.clear()
-            got = meanvalue.poly_abs_grid_sum(p, s, T, points, summation)
+            got = meanvalue.abs_grid_sum(FunctionSource.from_poly(p), symmetric_axes(T, points, dim),
+                                         s, summation)
             assert np.concatenate(blocks).tobytes() == magnitudes.tobytes()
             ref = index_sum(lambda start, stop: magnitudes[start:stop], points ** dim,
                             summation)
@@ -228,8 +245,8 @@ class TestQuadratureCoefficient:
 
 def pointwise_coefficient(source, lam, T, points, summation):
     """Grid mean of f(x) e^{-i<x, lam>}, evaluated node by node over the full grid."""
-    return tensor_mean(lambda c: eval_real(source, c) * np.exp(-1j * (c @ lam)),
-                       symmetric_axes(T, points, source.dim), summation)
+    return tensor_sum(lambda c: eval_real(source, c) * np.exp(-1j * (c @ lam)),
+                      symmetric_axes(T, points, source.dim), summation) / points ** source.dim
 
 
 # 100003 is prime and longer than REDUCE_BLOCK, so its coarse x fine split

@@ -30,8 +30,8 @@ from apspec import (
     top_edge_decay_check,
     verify_spectral_containment,
 )
-from apspec.meanvalue import SpectrumEntry, SpectrumReport, poly_abs_grid_sum
-from apspec.quadrature import BUDGET_ENV_VAR, tensor_integral
+from apspec.meanvalue import SpectrumEntry, SpectrumReport, abs_grid_sum
+from apspec.quadrature import BUDGET_ENV_VAR, symmetric_axes, tensor_integral
 from apspec.verifier import _default_candidates, _horizontal_edges
 
 
@@ -111,6 +111,27 @@ class TestStripIntegralBound:
                     np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
                 assert abs(r.lhs - ref) <= 1e-13 * envelope
 
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 17, 400.0), (2, 300, 137.0),
+                                              (3, 41, 50.0)])
+    def test_sinc_factor_sums_match_pointwise_walk(self, dim, points, T, summation):
+        # |A| prod_j sum_i |sinc(a x_ji)|, with x_1 + is in the first factor,
+        # against |f(x1 + is, x')| node by node (the walk this route
+        # replaced).  Bound fixed beforehand: 4 eps C (p + 1 + Phi + log2 N)
+        # per node, C = |A| cosh(a s) and Phi = |a| p T
+        for scale, amplitude, s in ((0.8, 1.5, 0.5), (2.3, 0.7 - 0.4j, 0.25), (0.5, 1.0, 1.0)):
+            f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
+            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            r = strip_integral_bound(f, sigma=0.3, s=s, quad=q, norm_value=1.0,
+                                     min_half_width=50.0)
+            shift = np.zeros(dim)
+            shift[0] = s
+            ref = tensor_integral(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
+                                  symmetric_axes(T, points, dim), summation) * math.exp(-0.3 * s)
+            bound = 4 * np.finfo(float).eps * abs(amplitude) * math.cosh(scale * s) * (
+                dim + 1 + scale * dim * T + math.log2(points ** dim)) * (2 * T) ** dim
+            assert abs(r.lhs - ref) <= bound
+
     @pytest.mark.parametrize("dim,points", [(1, 65536), (1, 10 ** 6), (2, 512), (3, 96)])
     def test_polynomial_walk_memory_below_one_block(self, dim, points):
         # scratch buffers made once per call: one block of float magnitudes
@@ -121,7 +142,8 @@ class TestStripIntegralBound:
                                 min_gap=0.5)
         tracemalloc.start()
         try:
-            poly_abs_grid_sum(p, 0.5, 50.0, points, "compensated")
+            abs_grid_sum(FunctionSource.from_poly(p), symmetric_axes(50.0, points, dim), 0.5,
+                         "compensated")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -136,21 +158,24 @@ class TestStripIntegralBound:
         monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
         p = generate_polynomial(seed=7100 + dim, dim=dim, n_terms=3, radius=2.0,
                                 min_gap=0.5)
-        f = FunctionSource.from_poly(p)
         q = QuadratureSpec(half_width=50.0, points_per_axis=points)
-        with pytest.raises(BudgetExceededError):
-            strip_integral_bound(f, sigma=exact_type(p), s=0.5,
-                                 quad=q, norm_value=1.0, min_half_width=50.0)
-        with pytest.raises(BudgetExceededError):
-            box_average_abs(f, q)
-        with pytest.raises(BudgetExceededError):
-            besicovitch_seminorm(f, LadderSpec(), q)
+        for f in (FunctionSource.from_poly(p), FunctionSource.sinc_product(dim, scale=0.8)):
+            with pytest.raises(BudgetExceededError):
+                strip_integral_bound(f, sigma=exact_type(p), s=0.5,
+                                     quad=q, norm_value=1.0, min_half_width=50.0)
+            with pytest.raises(BudgetExceededError):
+                box_average_abs(f, q)
+            with pytest.raises(BudgetExceededError):
+                besicovitch_seminorm(f, LadderSpec(), q)
 
     def test_exp_guard_on_shift(self):
         q = QuadratureSpec(half_width=50.0, points_per_axis=64)
         with pytest.raises(EvaluationRangeError):
             strip_integral_bound(single_exp([701.0, 0.0]), sigma=701.0, s=1.0, quad=q,
                                  norm_value=1.0, min_half_width=50.0)
+        with pytest.raises(EvaluationRangeError):
+            strip_integral_bound(FunctionSource.sinc_product(2, scale=701.0), sigma=0.0, s=1.0,
+                                 quad=q, norm_value=1.0, min_half_width=50.0)
 
     def test_half_width_below_threshold_rejected(self):
         q = QuadratureSpec(half_width=50.0, points_per_axis=128)
