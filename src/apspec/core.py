@@ -283,6 +283,11 @@ def guard_term_exponents(damp: np.ndarray):
         )
 
 
+def guard_exponents(source: "FunctionSource", z: np.ndarray) -> np.ndarray:
+    """Per point of z, |<y, lam_m>| per term or |Im(a z_j)| per axis: eval_complex's guard."""
+    return np.abs(z.imag @ source.poly.freqs.T if source.kind == POLY else (source.scale * z).imag)
+
+
 def _poly_values(poly: TrigPolynomial, x: np.ndarray, y: np.ndarray | None) -> np.ndarray:
     """Batched evaluation of sum_m c_m exp(i<z, lam_m>) at z = x + iy."""
     phase = x @ poly.freqs.T

@@ -16,15 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EXP_GUARD,
     POLY,
     SINC_PRODUCT,
     FunctionSource,
     eval_complex,
     eval_real,
+    guard_exponents,
     half_plane_growth_rate,
     sinc,
 )
-from .errors import DimensionMismatchError, EvaluationRangeError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .meanvalue import poly_abs_blocks, sinc_line
 from .quadrature import (
     REDUCE_BLOCK,
@@ -126,28 +128,25 @@ def estimate_type(source: FunctionSource, radii=DEFAULT_RADII,
     if len(radii) < 2 or radii[0] <= 0:
         raise PreconditionError("need at least two positive radii")
     dirs = _direction_set(source, n_dirs)
-    used, log_max = [], []
-    for r in radii:
-        try:
-            vals = np.abs(eval_complex(source, 1j * r * dirs))
-        except EvaluationRangeError:
-            continue
-        peak = float(np.max(vals))
-        if peak <= 0.0:
-            continue
-        used.append(r)
-        log_max.append(math.log(peak))
-    if len(used) < 2:
+    # every radius in one evaluation; a radius is dropped where eval_complex
+    # would refuse it alone (by the guard's own test) or where f vanishes
+    z = 1j * (np.array(radii)[:, None, None] * dirs)
+    guard = guard_exponents(source, z.reshape(-1, source.dim)).reshape(len(radii), -1)
+    kept = ~(np.max(guard, axis=1) > EXP_GUARD)
+    values = np.abs(eval_complex(source, z[kept].reshape(-1, source.dim)))
+    peaks = np.max(values.reshape(-1, dirs.shape[0]), axis=1)
+    fit = [(r, math.log(peak)) for r, peak in zip(itertools.compress(radii, kept), peaks)
+           if not peak <= 0.0]
+    if len(fit) < 2:
         raise PreconditionError("fewer than two radii survived the overflow guard")
-    half = max(2, (len(used) + 1) // 2)
-    r_fit = np.array(used[-half:])
-    y_fit = np.array(log_max[-half:])
+    half = max(2, (len(fit) + 1) // 2)
+    r_fit, y_fit = np.array(fit[-half:]).T
     slope, intercept = np.polyfit(r_fit, y_fit, 1)
     residual = float(np.max(np.abs(slope * r_fit + intercept - y_fit)))
     return TypeEstimate(
         sigma_hat=float(max(slope, 0.0)),
         log_c0_hat=float(intercept),
-        radii=tuple(used),
+        radii=tuple(r for r, _ in fit),
         fit_radii=tuple(float(r) for r in r_fit),
         n_directions=dirs.shape[0],
         residual=residual,
@@ -214,7 +213,7 @@ def _grid_max(source: FunctionSource, axes, power: int = 0) -> tuple[float, int]
     shape = [int(n) for (_, _, n) in axes]
     grid_points(shape)
     if source.kind == POLY and source.poly.n_terms > 1:
-        return _block_max(poly_abs_blocks(source.poly, axes, block=REDUCE_BLOCK), axes, power)
+        return _block_max(poly_abs_blocks(source.poly, [axes], block=REDUCE_BLOCK)[0], axes, power)
     if source.kind == POLY:
         amp = abs(source.poly.coeffs[0])
         maxima = {axis: _block_max(lambda start, stop: np.broadcast_to(1.0, stop - start),
@@ -273,7 +272,7 @@ def _weighted_log_integral(source: FunctionSource, x0: float, s: float,
     elif source.poly.n_terms == 1:
         values = lambda start, stop: np.broadcast_to(abs(source.poly.coeffs[0]), stop - start)
     else:
-        values = poly_abs_blocks(source.poly, axes, block=block)
+        values = poly_abs_blocks(source.poly, [axes], block=block)[0]
     offsets, logs, weight = np.empty((3, block))  # one allocation, as in _row_products
     offsets.fill(1.0)
     np.cumsum(offsets, out=offsets)  # 1, 2, ... exactly, with no temporary

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -102,16 +103,15 @@ class RotationIdentityResult:
     gap: float
 
 
-def _row_products(tables, last: np.ndarray, total: int, block: int, finish):
-    """fn(start, stop), stop - start <= block: a grid's nodes in one reused buffer.
+def _row_products(tables, last: np.ndarray, total: int, block: int, finish) -> list:
+    """Per grid g, fn(start, stop), stop - start <= block: its nodes in buffers all share.
 
-    Grid row r (C order over the tables' lengths) is the product of one row
-    of each (n_j, k) table, times last (k, cols), for total nodes in all;
-    finish(values, pos, out) maps the products at nodes pos, ... to out.
-    Every buffer is made here, once.
+    Row r (C order) of grid g is the product of one row of each (grids, n_j, k) table's
+    [g], times last[g] (k, cols), for total nodes in all; finish(values, pos, out) maps
+    the products at nodes pos, ... to out.  Every buffer is made here, once.
     """
-    row_shape = [table.shape[0] for table in tables]
-    cols = last.shape[1]
+    row_shape = [table.shape[1] for table in tables]
+    cols = last.shape[2]
     # at least two rows per product: a one-row product takes numpy's
     # vector-matrix route, whose rounding differs from the matrix product's
     group = max(2, _ABS_ROW_GROUP // cols)
@@ -122,9 +122,9 @@ def _row_products(tables, last: np.ndarray, total: int, block: int, finish):
     # one allocation: buffers spread over several fault in again on every call
     scratch = np.empty(size + block)
     values, out = scratch[:size].view(dtype), scratch[size:]
-    lead, factor = np.empty((2, span, last.shape[0]), dtype=dtype)
+    lead, factor = np.empty((2, span, last.shape[1]), dtype=dtype)
 
-    def lead_rows(r0: int, r1: int) -> np.ndarray:
+    def lead_rows(tables, r0: int, r1: int) -> np.ndarray:
         if len(tables) == 1:
             return tables[0][r0:r1]
         ix = np.unravel_index(np.arange(r0, r1), row_shape)
@@ -136,7 +136,7 @@ def _row_products(tables, last: np.ndarray, total: int, block: int, finish):
             np.multiply(lead[:m], factor[:m], out=lead[:m])
         return lead[:m]
 
-    def fn(start: int, stop: int) -> np.ndarray:
+    def fn(tables, last, start: int, stop: int) -> np.ndarray:
         pos, r_end = start, (stop - 1) // cols + 1
         while pos < stop:
             r, c0 = divmod(pos, cols)
@@ -147,13 +147,20 @@ def _row_products(tables, last: np.ndarray, total: int, block: int, finish):
             else:
                 r1, c1 = r + 1, min(cols, c0 + stop - pos)  # part of a row longer than a block
             rows = values[:(r1 - r) * (c1 - c0)]
-            np.matmul(lead_rows(r, r1), last[:, c0:c1], out=rows.reshape(r1 - r, c1 - c0))
+            np.matmul(lead_rows(tables, r, r1), last[:, c0:c1], out=rows.reshape(r1 - r, c1 - c0))
             end, first = min(stop, (r1 - 1) * cols + c1), pos - r * cols - c0
             finish(rows[first:first + end - pos], pos, out[pos - start:end - start])
             pos = end
         return out[:stop - start]
 
-    return fn
+    return [partial(fn, [table[g] for table in tables], last[g]) for g in range(last.shape[0])]
+
+
+def _cis(u, v) -> np.ndarray:
+    """e^{i u v} for broadcast u, v, in place: np.exp(1j * (u * v)) up to signs of zero."""
+    out = np.zeros(np.broadcast(u, v).shape, dtype=np.complex128)
+    np.multiply(u, v, out=out.imag)
+    return np.exp(out, out=out)
 
 
 def sinc_line(a: float, axis: Axis, s: float = 0.0, amp: float = 1.0,
@@ -198,55 +205,53 @@ def sinc_line(a: float, axis: Axis, s: float = 0.0, amp: float = 1.0,
         if i1 > i0:
             out[i0:i1] = near
 
-    return _row_products([lead], last, int(n), block, finish)
+    return _row_products([lead[None]], last[None], int(n), block, finish)[0]
 
 
-def poly_abs_blocks(poly: TrigPolynomial, axes, s: float = 0.0, block: int = REDUCE_BLOCK):
-    """|f(x1 + is, x')| on the midpoint grid of axes, as _row_products gives it.
+def poly_abs_blocks(poly: TrigPolynomial, grids, s: float = 0.0, block: int = REDUCE_BLOCK):
+    """|f(x1 + is, x')| on grids (lists of axes) of one shape, as _row_products gives it.
 
-    Term m is c_m e^{-s lam_m1} prod_j e^{i x_j lam_mj}: the leading axes'
-    tables (weights in the first) times Last[m, c] = e^{i x_p lam_mp}, so
-    each axis costs k x n exponentials; one variable is split by
-    split_axis.  Callers check the grid against the point budget.
+    Term m is c_m e^{-s lam_m1} prod_j e^{i x_j lam_mj}: the leading axes' tables (weights
+    in the first) times Last[m, c] = e^{i x_p lam_mp}, each made for all grids by one
+    exponential; one variable is split by split_axis.  Callers check the point budget.
     """
-    total = math.prod(int(n) for (_, _, n) in axes)
+    total = math.prod(int(n) for (_, _, n) in grids[0])
     damp = s * poly.freqs[:, 0]
     guard_term_exponents(damp)
-    if len(axes) == 1:
-        _, origins, offsets = split_axis(axes[0])
-        row_nodes, col_nodes = [origins], offsets
+    if len(grids[0]) == 1:
+        _, *row_nodes, col_nodes = zip(*[split_axis(axes[0]) for axes in grids])
     else:
-        nodes = {axis: midpoint_nodes(*axis) for axis in set(axes)}
-        row_nodes, col_nodes = [nodes[axis] for axis in axes[:-1]], nodes[axes[-1]]
-    tables = [np.exp(1j * np.outer(x, poly.freqs[:, j])) for j, x in enumerate(row_nodes)]
-    tables[0] = tables[0] * (poly.coeffs * np.exp(-damp))
-    last = np.exp(1j * np.outer(poly.freqs[:, -1], col_nodes))
+        nodes = {axis: midpoint_nodes(*axis) for axis in set().union(*grids)}
+        *row_nodes, col_nodes = zip(*[[nodes[axis] for axis in axes] for axes in grids])
+    tables = [_cis(np.array(x)[:, :, None], poly.freqs[:, j]) for j, x in enumerate(row_nodes)]
+    tables[0] *= poly.coeffs * np.exp(-damp)
+    last = _cis(poly.freqs[:, -1, None], np.array(col_nodes)[:, None, :])
     return _row_products(tables, last, total, min(block, total),
                          lambda values, pos, out: np.abs(values, out=out))
 
 
-def abs_grid_sum(source: FunctionSource, axes, s: float = 0.0,
-                 summation: str = COMPENSATED) -> float:
-    """Plain sum of |f(x1 + is, x')| over the tensor midpoint grid of axes.
+def abs_grid_sum(source: FunctionSource, grids, s: float = 0.0,
+                 summation: str = COMPENSATED) -> list[float]:
+    """Plain sums of |f(x1 + is, x')| over midpoint grids (lists of axes) of one shape.
 
     Polynomials sum poly_abs_blocks by index_sum.  A sinc product's sum is
-    |A| prod_j sum_i |sinc(a x_ji)|, with x_1i + is in the first factor.
+    |A| prod_j sum_i |sinc(a x_ji)|, x_1i + is in the first factor, each line summed once.
     """
-    total = grid_points([n for (_, _, n) in axes])
+    total = grid_points([n for (_, _, n) in grids[0]])
     if source.kind == POLY:
-        return float(index_sum(poly_abs_blocks(source.poly, axes, s, REDUCE_BLOCK), total,
-                               summation, REDUCE_BLOCK))
-    sums = [index_sum(sinc_line(source.scale, axis, s if j == 0 else 0.0, block=REDUCE_BLOCK),
-                      int(axis[2]), summation, REDUCE_BLOCK)
-            for j, axis in enumerate(axes)]
-    return float(abs(source.amplitude) * math.prod(sums))
+        return [float(index_sum(fn, total, summation, REDUCE_BLOCK))
+                for fn in poly_abs_blocks(source.poly, grids, s, REDUCE_BLOCK)]
+    lines = [[(axis, s if j == 0 else 0.0) for j, axis in enumerate(axes)] for axes in grids]
+    sums = {line: index_sum(sinc_line(source.scale, *line, block=REDUCE_BLOCK), int(line[0][2]),
+                            summation, REDUCE_BLOCK) for line in set().union(*lines)}
+    return [float(abs(source.amplitude) * math.prod(map(sums.get, grid))) for grid in lines]
 
 
 def box_average_abs(source: FunctionSource, quad: QuadratureSpec) -> float:
     """Normalized mean of |f| over [-T, T]^p on the midpoint grid (abs_grid_sum)."""
     n = quad.points_per_axis
-    return abs_grid_sum(source, symmetric_axes(quad.half_width, n, source.dim), 0.0,
-                        quad.summation) / n ** source.dim
+    return abs_grid_sum(source, [symmetric_axes(quad.half_width, n, source.dim)], 0.0,
+                        quad.summation)[0] / n ** source.dim
 
 
 def besicovitch_seminorm(source: FunctionSource, ladder: LadderSpec,
@@ -254,18 +259,13 @@ def besicovitch_seminorm(source: FunctionSource, ladder: LadderSpec,
     """Ladder estimate of the Besicovitch seminorm of f.
 
     quad supplies the per-axis resolution and summation policy; its
-    half_width is replaced by each ladder level in turn.
+    half_width is replaced by the ladder's levels, summed in one call.
     """
-    trace = []
-    for half_width in ladder.half_widths():
-        level_quad = QuadratureSpec(
-            half_width=float(half_width),
-            points_per_axis=quad.points_per_axis,
-            summation=quad.summation,
-        )
-        trace.append((float(half_width), box_average_abs(source, level_quad)))
-    tail = trace[-ladder.tail_levels:]
-    return SeminormEstimate(value=max(v for _, v in tail), per_level=tuple(trace))
+    n, widths = quad.points_per_axis, [float(t) for t in ladder.half_widths()]
+    sums = abs_grid_sum(source, [symmetric_axes(t, n, source.dim) for t in widths], 0.0,
+                        quad.summation)
+    trace = tuple((t, v / n ** source.dim) for t, v in zip(widths, sums))
+    return SeminormEstimate(value=max(v for _, v in trace[-ladder.tail_levels:]), per_level=trace)
 
 
 def _check_frequency(lam, dim: int) -> np.ndarray:
@@ -309,16 +309,22 @@ def _grid_coefficients(source: FunctionSource, candidates: np.ndarray,
         return np.prod(means.reshape(offsets.shape), axis=2) @ poly.coeffs
     # one row per (candidate, axis) pair, sinc evaluated once per node of a
     # walk; rows are taken in groups so a block of values stays near
-    # REDUCE_BLOCK entries however many candidates there are
+    # REDUCE_BLOCK entries however many candidates there are, in one buffer
     lams = candidates.ravel()
     group = max(1, REDUCE_BLOCK // min(n, REDUCE_BLOCK))
+    size = min(group, lams.shape[0]) * min(n, REDUCE_BLOCK)
+    scratch = np.empty(3 * size)
+    integrand, phases = scratch[:2 * size].view(np.complex128), scratch[2 * size:]
     sums = np.empty(lams.shape[0], dtype=np.complex128)
     for start in range(0, lams.shape[0], group):
         rows = lams[start:start + group]
 
         def fn(coords: np.ndarray, rows=rows) -> np.ndarray:
             x = coords[:, 0]
-            return sinc(source.scale * x) * np.exp(-1j * np.outer(rows, x))
+            phase = np.multiply.outer(rows, x, out=phases[:rows.size * x.size].reshape(-1, x.size))
+            values = np.multiply(-1j, phase, out=integrand[:phase.size].reshape(phase.shape))
+            np.exp(values, out=values)
+            return np.multiply(sinc(source.scale * x), values, out=values)
 
         sums[start:start + group] = tensor_sum(fn, [axis], quad.summation)
     means = sums / n

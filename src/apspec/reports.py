@@ -4,10 +4,10 @@ Polynomial wire format:
 
     {"dim": 2, "terms": [{"lambda": [1.0, 0.5], "re": 1.0, "im": 0.0}]}
 
-Reports are written as a JSON document plus a flat CSV summary.  JSON is
-dumped with sorted keys and a fixed indent so identical inputs produce
-byte-identical files.  Non-finite floats are written as the strings
-"inf", "-inf", "nan" to stay inside strict JSON.
+Reports are written as a JSON document plus a flat CSV summary.  JSON has
+json.dumps's bytes with sorted keys and a fixed indent, so identical inputs
+produce byte-identical files; one walk writes it, as json encodes in pure
+Python once indent is set.  Non-finite floats become "inf", "-inf", "nan".
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +43,46 @@ def _json_safe(value):
     return value
 
 
+# json's text for the strings _json_safe puts in place of non-finite floats
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _render(value, newline: str, out: list):
+    """Append value, indented by newline, as json.dumps(_json_safe(value), ...) writes it."""
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif kind is dict and value and type(next(iter(value))) is str:
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):  # on other keys as well, json raises the same TypeError
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _render(value[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif (kind is list or kind is tuple) and value:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _render(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append(_CONSTANTS[value])
+    else:  # a subclass, a numpy scalar, keys other than str: json's own text, re-indented
+        out.append(json.dumps(_json_safe(value), sort_keys=True, indent=2).replace("\n", newline))
+
+
 def dumps_canonical(obj) -> str:
-    return json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n"
+    """json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\\n", in one walk of obj."""
+    out: list = []
+    _render(obj, "\n", out)
+    return "".join(out) + "\n"
 
 
 def write_json(path: str, obj):

@@ -119,7 +119,7 @@ def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
     half_width = quad.half_width
     n = quad.points_per_axis
     axes = [(-half_width, half_width, n)] * p
-    raw = abs_grid_sum(source, axes, s, quad.summation) * math.prod([2.0 * half_width / n] * p)
+    raw = abs_grid_sum(source, [axes], s, quad.summation)[0] * math.prod([2.0 * half_width / n] * p)
     lhs = float(raw) * math.exp(-s * sigma)
     norm = _resolve_norm(source, norm_value, norm_ladder, norm_quad)
     constant = strip_bound_constant(p, norm)

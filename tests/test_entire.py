@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from apspec import (
     BudgetExceededError,
     DimensionMismatchError,
+    EvaluationRangeError,
     FunctionSource,
     PreconditionError,
     QuadratureSpec,
@@ -32,7 +33,10 @@ from apspec import (
 )
 from apspec import entire, meanvalue
 from apspec.entire import (
+    DEFAULT_RADII,
     UNIMODULAR_LOG_TOL,
+    TypeEstimate,
+    _direction_set,
     _grid_max,
     _lattice_axis,
     _linspace_axis,
@@ -205,6 +209,76 @@ class TestEstimateType:
         lam = rng.uniform(-2.5, 2.5, dim)
         est = estimate_type(single_exp(lam))
         assert est.sigma_hat == pytest.approx(float(np.linalg.norm(lam)), abs=1e-6)
+
+
+def ref_estimate_type(source, radii=DEFAULT_RADII):
+    """The per-radius loop estimate_type replaced: one evaluation per radius."""
+    radii = tuple(sorted(float(r) for r in radii))
+    dirs = _direction_set(source, max(2 * source.dim, 8))
+    used, log_max = [], []
+    for r in radii:
+        try:
+            vals = np.abs(eval_complex(source, 1j * r * dirs))
+        except EvaluationRangeError:
+            continue
+        peak = float(np.max(vals))
+        if peak <= 0.0:
+            continue
+        used.append(r)
+        log_max.append(math.log(peak))
+    if len(used) < 2:
+        raise PreconditionError("fewer than two radii survived the overflow guard")
+    half = max(2, (len(used) + 1) // 2)
+    r_fit = np.array(used[-half:])
+    y_fit = np.array(log_max[-half:])
+    slope, intercept = np.polyfit(r_fit, y_fit, 1)
+    residual = float(np.max(np.abs(slope * r_fit + intercept - y_fit)))
+    return TypeEstimate(sigma_hat=float(max(slope, 0.0)), log_c0_hat=float(intercept),
+                        radii=tuple(used), fit_radii=tuple(float(r) for r in r_fit),
+                        n_directions=dirs.shape[0], residual=residual)
+
+
+def type_fit_bits(fit, source):
+    try:
+        est = fit(source)
+    except PreconditionError:
+        return "PreconditionError"
+    floats = (est.sigma_hat, est.log_c0_hat, est.residual) + est.radii + est.fit_radii
+    return (np.array(floats).tobytes(), len(est.radii), len(est.fit_radii), est.n_directions)
+
+
+@st.composite
+def type_fit_sources(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    if draw(st.booleans()):
+        # scales up to 30 put |Im(a z)| past the guard at the larger radii
+        return FunctionSource.sinc_product(draw(st.integers(1, 4)), scale=rng.uniform(0.1, 30.0),
+                                           amplitude=rng.uniform(0.5, 3.0))
+    dim, n_terms = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    coeffs = rng.uniform(0.1, 1.0, n_terms) * np.exp(1j * rng.uniform(0, 2 * np.pi, n_terms))
+    return FunctionSource.from_poly(TrigPolynomial(
+        dim=dim, freqs=rng.uniform(-1.0, 1.0, (n_terms, dim)) * rng.uniform(0.1, 30.0),
+        coeffs=coeffs))
+
+
+class TestTypeFitRoute:
+    @given(type_fit_sources())
+    # 40 * 17.5 = 700 exactly: the guard keeps r = 40, one ulp more drops it;
+    # at 100 only r = 5 survives and at 200 none, so both routes refuse the fit
+    @example(single_exp([17.5]))
+    @example(single_exp([np.nextafter(17.5, np.inf)]))
+    @example(single_exp([100.0]))
+    @example(single_exp([200.0]))
+    @example(FunctionSource.constant(0.0))
+    @settings(max_examples=120, deadline=None)
+    def test_one_evaluation_matches_per_radius_loop(self, source):
+        assert type_fit_bits(estimate_type, source) == type_fit_bits(ref_estimate_type, source)
+
+    def test_guard_edge(self):
+        assert 40.0 in estimate_type(single_exp([17.5])).radii
+        assert 40.0 not in estimate_type(single_exp([np.nextafter(17.5, np.inf)])).radii
+        with pytest.raises(PreconditionError):
+            estimate_type(single_exp([100.0]))
 
 
 class TestLogvinenko:
@@ -402,7 +476,7 @@ class TestGridMaxKernel:
         # node, summed over the same blocks
         source, axes, _, block, s = case
         with mock.patch.object(meanvalue, "REDUCE_BLOCK", block):
-            got = abs_grid_sum(source, axes, s)
+            got = abs_grid_sum(source, [axes], s)[0]
         ref = ref_grid_values(source, axes, s=s)
         total = index_sum(lambda start, stop: ref[start:stop], ref.size, "compensated", block)
         extra = sinc_phase(source, axes) + math.log2(ref.size)

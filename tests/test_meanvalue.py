@@ -109,7 +109,7 @@ class TestBoxAverage:
         shift = np.zeros(dim)
         shift[0] = 0.5
         for summation in ("compensated", "naive"):
-            got = meanvalue.abs_grid_sum(f, symmetric_axes(60.0, points, dim), 0.5, summation)
+            got = meanvalue.abs_grid_sum(f, [symmetric_axes(60.0, points, dim)], 0.5, summation)[0]
             ref = tensor_sum(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
                              symmetric_axes(60.0, points, dim), summation, block=50)
             envelope = points ** dim * float(np.sum(np.abs(p.coeffs)
@@ -154,8 +154,8 @@ class TestBoxAverage:
         monkeypatch.setattr(meanvalue, "index_sum", recording_index_sum)
         for summation in ("compensated", "naive"):
             blocks.clear()
-            got = meanvalue.abs_grid_sum(FunctionSource.from_poly(p), symmetric_axes(T, points, dim),
-                                         s, summation)
+            got, = meanvalue.abs_grid_sum(FunctionSource.from_poly(p),
+                                          [symmetric_axes(T, points, dim)], s, summation)
             assert np.concatenate(blocks).tobytes() == magnitudes.tobytes()
             ref = index_sum(lambda start, stop: magnitudes[start:stop], points ** dim,
                             summation)
@@ -182,6 +182,43 @@ class TestSeminormLadder:
                                    QuadratureSpec(half_width=25.0, points_per_axis=128))
         assert [hw for hw, _ in est.per_level] == [25.0, 50.0, 100.0]
         assert est.value == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("summation", ["compensated", "naive"])
+    @pytest.mark.parametrize("kind", ["poly", "sinc"])
+    @pytest.mark.parametrize("dim,points", [(1, 4096), (1, 10007), (2, 64), (2, 300),
+                                            (3, 16), (3, 41)])
+    def test_levels_equal_one_grid_sums(self, dim, points, kind, summation):
+        # one abs_grid_sum call sums every level, from tables made once for
+        # all of them; each level's sum is its one-grid sum, bit for bit,
+        # unshifted as the ladder takes it and shifted as a strip would
+        if kind == "poly":
+            f = FunctionSource.from_poly(generate_polynomial(
+                seed=8400 + dim, dim=dim, n_terms=5, radius=2.0, min_gap=0.5))
+        else:
+            f = FunctionSource.sinc_product(dim, scale=0.8, amplitude=1.5 - 0.3j)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=points, summation=summation)
+        est = besicovitch_seminorm(f, LadderSpec(), q)
+        grids = [symmetric_axes(half_width, points, dim) for half_width, _ in est.per_level]
+        singles = [meanvalue.abs_grid_sum(f, [grid], 0.0, summation)[0] for grid in grids]
+        means = [mean for _, mean in est.per_level]
+        assert np.array(means).tobytes() == (np.array(singles) / points ** dim).tobytes()
+        shifted = [meanvalue.abs_grid_sum(f, [grid], 0.5, summation)[0] for grid in grids]
+        assert (np.array(meanvalue.abs_grid_sum(f, grids, 0.5, summation)).tobytes()
+                == np.array(shifted).tobytes())
+
+    @pytest.mark.parametrize("dim,points", [(1, 10 ** 6), (2, 1000)])
+    def test_ladder_memory(self, dim, points):
+        # the one-grid walk's buffers (0.93 MB here) plus the four levels'
+        # tables, about 0.64 MB at five terms; bound fixed at 2 MB
+        f = FunctionSource.from_poly(generate_polynomial(
+            seed=11, dim=dim, n_terms=5, radius=2.0, min_gap=0.5))
+        tracemalloc.start()
+        try:
+            besicovitch_seminorm(f, LadderSpec(), QuadratureSpec(50.0, points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=10, deadline=None)

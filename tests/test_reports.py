@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apspec import (
     FunctionSource,
@@ -19,6 +21,7 @@ from apspec.errors import DimensionMismatchError
 from apspec.reports import (
     CHECK_CSV_HEADER,
     SUMMARY_CSV_HEADER,
+    _json_safe,
     checks_csv_rows,
     dump_poly_json,
     dumps_canonical,
@@ -136,6 +139,68 @@ class TestCanonicalJson:
         write_json(path, {"x": 1})
         with open(path) as fh:
             assert json.load(fh) == {"x": 1}
+
+
+def reference_dumps(obj):
+    """What dumps_canonical must write: json's own encoder on the _json_safe tree."""
+    return json.dumps(_json_safe(obj), sort_keys=True, indent=2) + "\n"
+
+
+def rendered_or_error(dumps, obj):
+    try:
+        return dumps(obj)
+    except TypeError:
+        return TypeError
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+AWKWARD_CHARS = '"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\uffff\ud800\udfff'
+strings = st.text(st.one_of(st.characters(), st.sampled_from(AWKWARD_CHARS)), max_size=8)
+json_leaves = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.integers(-2 ** 100, 2 ** 100), st.booleans(), st.none(), strings)
+json_trees = st.recursive(json_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(strings, children, max_size=4)), max_leaves=40)
+# keys json must convert or refuse, and leaves it refuses, all handed to json
+odd_trees = st.recursive(
+    st.one_of(json_leaves, st.integers(-5, 5).map(np.int64)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.one_of(strings, st.integers(-3, 3), st.floats(), st.booleans()),
+                        children, max_size=3)), max_leaves=12)
+
+
+class TestRendererMatchesJson:
+    @given(json_trees)
+    @example({"b": [1, 2.5, -0.0, np.float64(0.1), True, None, 2 ** 70],
+              "a": {"": [], "z": {}, "\ud800": ("\x00\"", (math.nan, -math.inf))}})
+    @example([])
+    @example(5e-324)
+    @settings(max_examples=150, deadline=None)
+    def test_any_tree(self, obj):
+        assert dumps_canonical(obj) == reference_dumps(obj)
+
+    @given(odd_trees)
+    @example({1: [2], 3: {"x": 1.5}})
+    @example({1: 1, "a": 2})
+    @example([np.int64(3)])
+    @settings(max_examples=200, deadline=None)
+    def test_other_types_go_to_json(self, obj):
+        assert rendered_or_error(dumps_canonical, obj) == rendered_or_error(reference_dumps, obj)
+
+    def test_verification_reports(self):
+        sources = [FunctionSource.from_poly(generate_polynomial(
+            seed=9100 + dim, dim=dim, n_terms=1 + dim, radius=2.0, min_gap=0.5))
+            for dim in (1, 2, 3)]
+        configs = [VerifyConfig(tol=0.1)] * 3
+        sources.append(FunctionSource.sinc_product(1, scale=0.8, amplitude=1.5))
+        configs.append(VerifyConfig(tol=0.1, threshold=0.5, scan_points=2048))
+        for source, config in zip(sources, configs):
+            doc = {"source": source_to_dict(source),
+                   "verification": verification_to_dict(verify_spectral_containment(source, config))}
+            assert dumps_canonical(doc) == reference_dumps(doc)
 
 
 class TestCsv:

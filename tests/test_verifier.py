@@ -142,7 +142,7 @@ class TestStripIntegralBound:
                                 min_gap=0.5)
         tracemalloc.start()
         try:
-            abs_grid_sum(FunctionSource.from_poly(p), symmetric_axes(50.0, points, dim), 0.5,
+            abs_grid_sum(FunctionSource.from_poly(p), [symmetric_axes(50.0, points, dim)], 0.5,
                          "compensated")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
