@@ -118,7 +118,8 @@ def estimate_type(source: FunctionSource, radii=DEFAULT_RADII,
     Samples z = i * r * u over unit directions u (coordinate axes both
     ways, frequency directions for polynomials, plus seeded fill), then
     fits log M(r) ~ log C0 + sigma * r by least squares on the top half
-    of the radii.  Radii whose evaluation would overflow are dropped.
+    of the radii.  Radii past the guard are dropped, and so are radii whose
+    peak |f| is 0 or overflows (sinc factors each within the guard can).
     """
     if n_dirs is None:
         n_dirs = max(2 * source.dim, 8)
@@ -129,14 +130,15 @@ def estimate_type(source: FunctionSource, radii=DEFAULT_RADII,
         raise PreconditionError("need at least two positive radii")
     dirs = _direction_set(source, n_dirs)
     # every radius in one evaluation; a radius is dropped where eval_complex
-    # would refuse it alone (by the guard's own test) or where f vanishes
+    # would refuse it alone (by the guard's own test) or where |f| is 0 or inf
     z = 1j * (np.array(radii)[:, None, None] * dirs)
     guard = guard_exponents(source, z.reshape(-1, source.dim)).reshape(len(radii), -1)
     kept = ~(np.max(guard, axis=1) > EXP_GUARD)
-    values = np.abs(eval_complex(source, z[kept].reshape(-1, source.dim)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.abs(eval_complex(source, z[kept].reshape(-1, source.dim)))
     peaks = np.max(values.reshape(-1, dirs.shape[0]), axis=1)
     fit = [(r, math.log(peak)) for r, peak in zip(itertools.compress(radii, kept), peaks)
-           if not peak <= 0.0]
+           if 0.0 < peak < math.inf]
     if len(fit) < 2:
         raise PreconditionError("fewer than two radii survived the overflow guard")
     half = max(2, (len(fit) + 1) // 2)

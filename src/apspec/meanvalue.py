@@ -34,7 +34,6 @@ from .core import (
 )
 from .errors import DimensionMismatchError, PreconditionError
 from .quadrature import (
-    COMPENSATED,
     REDUCE_BLOCK,
     Axis,
     LadderSpec,
@@ -42,10 +41,10 @@ from .quadrature import (
     exp_axis_sums,
     grid_points,
     index_sum,
+    line_sums,
     midpoint_nodes,
     split_axis,
     symmetric_axes,
-    tensor_sum,
 )
 
 # Error model for the midpoint grid route against the closed form:
@@ -230,8 +229,7 @@ def poly_abs_blocks(poly: TrigPolynomial, grids, s: float = 0.0, block: int = RE
                          lambda values, pos, out: np.abs(values, out=out))
 
 
-def abs_grid_sum(source: FunctionSource, grids, s: float = 0.0,
-                 summation: str = COMPENSATED) -> list[float]:
+def abs_grid_sum(source: FunctionSource, grids, s: float = 0.0) -> list[float]:
     """Plain sums of |f(x1 + is, x')| over midpoint grids (lists of axes) of one shape.
 
     Polynomials sum poly_abs_blocks by index_sum.  A sinc product's sum is
@@ -239,31 +237,29 @@ def abs_grid_sum(source: FunctionSource, grids, s: float = 0.0,
     """
     total = grid_points([n for (_, _, n) in grids[0]])
     if source.kind == POLY:
-        return [float(index_sum(fn, total, summation, REDUCE_BLOCK))
+        return [float(index_sum(fn, total, REDUCE_BLOCK))
                 for fn in poly_abs_blocks(source.poly, grids, s, REDUCE_BLOCK)]
     lines = [[(axis, s if j == 0 else 0.0) for j, axis in enumerate(axes)] for axes in grids]
     sums = {line: index_sum(sinc_line(source.scale, *line, block=REDUCE_BLOCK), int(line[0][2]),
-                            summation, REDUCE_BLOCK) for line in set().union(*lines)}
+                            REDUCE_BLOCK) for line in set().union(*lines)}
     return [float(abs(source.amplitude) * math.prod(map(sums.get, grid))) for grid in lines]
 
 
 def box_average_abs(source: FunctionSource, quad: QuadratureSpec) -> float:
     """Normalized mean of |f| over [-T, T]^p on the midpoint grid (abs_grid_sum)."""
-    n = quad.points_per_axis
-    return abs_grid_sum(source, [symmetric_axes(quad.half_width, n, source.dim)], 0.0,
-                        quad.summation)[0] / n ** source.dim
+    n, p = quad.points_per_axis, source.dim
+    return abs_grid_sum(source, [symmetric_axes(quad.half_width, n, p)])[0] / n ** p
 
 
 def besicovitch_seminorm(source: FunctionSource, ladder: LadderSpec,
                          quad: QuadratureSpec) -> SeminormEstimate:
     """Ladder estimate of the Besicovitch seminorm of f.
 
-    quad supplies the per-axis resolution and summation policy; its
-    half_width is replaced by the ladder's levels, summed in one call.
+    quad supplies the per-axis resolution; its half_width is replaced by
+    the ladder's levels, summed in one call.
     """
     n, widths = quad.points_per_axis, [float(t) for t in ladder.half_widths()]
-    sums = abs_grid_sum(source, [symmetric_axes(t, n, source.dim) for t in widths], 0.0,
-                        quad.summation)
+    sums = abs_grid_sum(source, [symmetric_axes(t, n, source.dim) for t in widths])
     trace = tuple((t, v / n ** source.dim) for t, v in zip(widths, sums))
     return SeminormEstimate(value=max(v for _, v in trace[-ladder.tail_levels:]), per_level=trace)
 
@@ -305,29 +301,18 @@ def _grid_coefficients(source: FunctionSource, candidates: np.ndarray,
     if source.kind == POLY:
         poly = source.poly
         offsets = poly.freqs[None, :, :] - candidates[:, None, :]
-        means = exp_axis_sums(1j * offsets.ravel(), axis, quad.summation) / n
+        means = exp_axis_sums(1j * offsets.ravel(), axis) / n
         return np.prod(means.reshape(offsets.shape), axis=2) @ poly.coeffs
-    # one row per (candidate, axis) pair, sinc evaluated once per node of a
-    # walk; rows are taken in groups so a block of values stays near
-    # REDUCE_BLOCK entries however many candidates there are, in one buffer
-    lams = candidates.ravel()
-    group = max(1, REDUCE_BLOCK // min(n, REDUCE_BLOCK))
-    size = min(group, lams.shape[0]) * min(n, REDUCE_BLOCK)
-    scratch = np.empty(3 * size)
-    integrand, phases = scratch[:2 * size].view(np.complex128), scratch[2 * size:]
-    sums = np.empty(lams.shape[0], dtype=np.complex128)
-    for start in range(0, lams.shape[0], group):
-        rows = lams[start:start + group]
 
-        def fn(coords: np.ndarray, rows=rows) -> np.ndarray:
-            x = coords[:, 0]
-            phase = np.multiply.outer(rows, x, out=phases[:rows.size * x.size].reshape(-1, x.size))
-            values = np.multiply(-1j, phase, out=integrand[:phase.size].reshape(phase.shape))
-            np.exp(values, out=values)
-            return np.multiply(sinc(source.scale * x), values, out=values)
+    # one row per (candidate, axis) pair; rows hold -lam, so the phase of
+    # sinc(a x) e^{-i lam x} is written straight into out's imaginary part
+    def fn(rows: np.ndarray, x: np.ndarray, out: np.ndarray):
+        out.real.fill(0.0)
+        np.multiply.outer(rows, x, out=out.imag)
+        np.exp(out, out=out)
+        np.multiply(sinc(source.scale * x), out, out=out)
 
-        sums[start:start + group] = tensor_sum(fn, [axis], quad.summation)
-    means = sums / n
+    means = line_sums(fn, -candidates.ravel(), axis) / n
     return source.amplitude * np.prod(means.reshape(candidates.shape), axis=1)
 
 

@@ -2,10 +2,12 @@
 
 The engine walks the flattened grid in fixed-size blocks.  Each block is
 reduced with numpy's pairwise sum and the block partials are combined in
-index order with Kahan compensation.  Because the partition depends only
-on the block size, serial and parallel schedules produce bitwise identical
-results; a parallel driver could evaluate blocks out of order and still
-combine partials in order.
+index order with Kahan compensation, the one policy.  Because the partition
+depends only on the block size, serial and parallel schedules produce
+bitwise identical results; a parallel driver could evaluate blocks out of
+order and still combine partials in order.  Both source kinds factor over
+the coordinates, so the library sums one axis at a time (line_sums,
+exp_axis_sums); tensor_sum's whole-grid walk is the tests' reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ BUDGET_ENV_VAR = "APSPEC_MAX_POINTS"
 REDUCE_BLOCK = 1 << 16
 
 COMPENSATED = "compensated"
-NAIVE = "naive"
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,12 @@ class QuadratureSpec:
 
     half_width: float
     points_per_axis: int
-    summation: str = COMPENSATED
 
     def __post_init__(self):
         if not self.half_width > 0:
             raise PreconditionError("half_width must be positive, got %r" % (self.half_width,))
         if self.points_per_axis < 2:
             raise PreconditionError("points_per_axis must be >= 2, got %r" % (self.points_per_axis,))
-        check_summation(self.summation)
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,6 @@ class LadderSpec:
 
     def half_widths(self) -> np.ndarray:
         return self.base * np.exp2(np.arange(self.levels))
-
-
-def check_summation(summation: str):
-    """Reject any summation name other than COMPENSATED or NAIVE."""
-    if summation not in (COMPENSATED, NAIVE):
-        raise PreconditionError("summation must be %r or %r, got %r"
-                                % (COMPENSATED, NAIVE, summation))
 
 
 def point_budget() -> int:
@@ -137,18 +129,12 @@ class KahanAccumulator:
         return self._sum + self._carry
 
 
-def reduce_in_blocks(partials: Sequence, summation: str):
-    """Combine partial sums in order, compensated or naive.
+def reduce_in_blocks(partials: Sequence):
+    """Combine partial sums in order with Kahan compensation.
 
     Partials may be scalars or equal-shape arrays; arrays combine
     elementwise.
     """
-    check_summation(summation)
-    if summation == NAIVE:
-        total = partials[0]
-        for p in partials[1:]:
-            total = total + p
-        return total
     acc = KahanAccumulator(zero=partials[0] * 0)
     for p in partials:
         acc.add(p)
@@ -172,8 +158,7 @@ def grid_points(shape: Sequence[int]) -> int:
     return total
 
 
-def index_sum(fn: Callable[[int, int], np.ndarray], total: int,
-              summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
+def index_sum(fn: Callable[[int, int], np.ndarray], total: int, block: int = REDUCE_BLOCK):
     """Sum fn over the flat indices 0 .. total-1 of a grid checked by grid_points.
 
     The indices are walked in blocks of `block`, the last one partial:
@@ -182,14 +167,13 @@ def index_sum(fn: Callable[[int, int], np.ndarray], total: int,
     reduced with numpy's pairwise sum and the partials are combined in
     order; tensor_sum walks its grid through here.
     """
-    check_summation(summation)
     partials = [np.add.reduce(fn(start, min(start + block, total)), axis=-1)
                 for start in range(0, total, block)]
-    return reduce_in_blocks(partials, summation)
+    return reduce_in_blocks(partials)
 
 
 def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
-               summation: str = COMPENSATED, block: int = REDUCE_BLOCK):
+               block: int = REDUCE_BLOCK):
     """Sum fn over the tensor midpoint grid defined by axes.
 
     fn maps an (m, p) coordinate block to m values, or to a C-contiguous
@@ -198,19 +182,40 @@ def tensor_sum(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
     entry bitwise equal to the scalar sum of its row); multiply by the cell
     volume for an integral or divide by the node count for a mean.  The
     grid is walked in index_sum's blocks, and each block's coordinates are
-    unravelled from its bounds.
+    unravelled from its bounds and rounded as midpoint_nodes rounds them.
     """
     ns = [int(n) for (_, _, n) in axes]
     total = grid_points(ns)
-    nodes = [midpoint_nodes(lo, hi, n) for (lo, hi, n) in axes]
 
     def fn_of_bounds(start: int, stop: int):
         coords = np.empty((stop - start, len(axes)), dtype=np.float64)
         for j, ix in enumerate(np.unravel_index(np.arange(start, stop), ns)):
-            coords[:, j] = nodes[j][ix]
+            lo, hi, n = axes[j]
+            coords[:, j] = lo + (ix + 0.5) * ((hi - lo) / n)
         return fn(coords)
 
-    return index_sum(fn_of_bounds, total, summation, block)
+    return index_sum(fn_of_bounds, total, block)
+
+
+def line_sums(fn: Callable[[np.ndarray, np.ndarray, np.ndarray], object], rows: np.ndarray,
+              axis: Axis) -> np.ndarray:
+    """Plain sums of one line of values per entry of rows over the midpoints x of one axis.
+
+    fn(rows, x, out) writes some rows' values at nodes x into out, a complex (len(rows),
+    len(x)) C-order view of one buffer made once per call.  Groups of rows keep a block
+    near REDUCE_BLOCK values, one one-axis tensor_sum each; a row's sum is its one-row sum.
+    """
+    width = min(int(axis[2]), REDUCE_BLOCK)
+    group = max(1, REDUCE_BLOCK // width)
+    buffer = np.empty(min(group, len(rows)) * width, dtype=np.complex128)
+
+    def block(coords: np.ndarray, part: np.ndarray) -> np.ndarray:
+        out = buffer[:len(part) * len(coords)].reshape(len(part), -1)
+        fn(part, coords[:, 0], out)
+        return out
+
+    return np.concatenate([tensor_sum(lambda c, part=rows[start:start + group]: block(c, part),
+                                      [axis]) for start in range(0, len(rows), group)])
 
 
 def split_axis(axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
@@ -229,7 +234,7 @@ def split_axis(axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
     return cols, origins, (np.arange(cols) + 0.5) * h
 
 
-def exp_axis_sums(a: np.ndarray, axis: Axis, summation: str = COMPENSATED) -> np.ndarray:
+def exp_axis_sums(a: np.ndarray, axis: Axis) -> np.ndarray:
     """Plain sums sum_i e^{a_m x_i} over the midpoints x_i of one axis.
 
     a is a vector of complex (or real) exponents; the axis (lo, hi, n) is
@@ -245,23 +250,13 @@ def exp_axis_sums(a: np.ndarray, axis: Axis, summation: str = COMPENSATED) -> np
     fine = np.exp(np.outer(a, offsets))
 
     def fine_sum(count: int) -> np.ndarray:
-        return index_sum(lambda start, stop: fine[:, start:stop], count, summation)
+        return index_sum(lambda start, stop: fine[:, start:stop], count)
 
-    coarse = index_sum(lambda start, stop: np.exp(np.outer(a, origins[start:stop])),
-                       rows, summation)
+    coarse = index_sum(lambda start, stop: np.exp(np.outer(a, origins[start:stop])), rows)
     total = coarse * fine_sum(cols)
     if rest:
         total = total + np.exp(a * origins[rows]) * fine_sum(rest)
     return total
-
-
-def tensor_integral(fn: Callable[[np.ndarray], np.ndarray], axes: Sequence[Axis],
-                    summation: str = COMPENSATED):
-    """Midpoint-rule integral of fn over the box prod [lo_i, hi_i]."""
-    cell = 1.0
-    for (lo, hi, n) in axes:
-        cell *= (hi - lo) / n
-    return tensor_sum(fn, axes, summation) * cell
 
 
 def symmetric_axes(half_width: float, points_per_axis: int, dim: int) -> list[Axis]:

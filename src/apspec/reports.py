@@ -24,7 +24,7 @@ from .core import POLY, FunctionSource, TrigPolynomial, known_type
 from .entire import EnvelopeEstimate, InequalityCheck, TypeEstimate
 from .errors import DimensionMismatchError, PreconditionError
 from .meanvalue import SeminormEstimate, SpectrumReport
-from .quadrature import LadderSpec, QuadratureSpec
+from .quadrature import COMPENSATED, LadderSpec, QuadratureSpec
 from .verifier import ContourDecomposition, StripBoundResult, VerificationReport
 
 CHECK_CSV_HEADER = ["context", "lhs", "rhs", "margin", "tolerance", "passed"]
@@ -194,7 +194,7 @@ def source_to_dict(source: FunctionSource) -> dict:
 
 def quadrature_to_dict(quad: QuadratureSpec) -> dict:
     return {"half_width": quad.half_width, "points_per_axis": quad.points_per_axis,
-            "summation": quad.summation}
+            "summation": COMPENSATED}
 
 
 def ladder_to_dict(ladder: LadderSpec) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import POLY, FunctionSource, eval_complex, guard_term_exponents, known_type
+from .core import POLY, FunctionSource, guard_term_exponents, known_type, sinc
 from .entire import (
     DEFAULT_RADII,
     InequalityCheck,
@@ -34,7 +34,7 @@ from .quadrature import (
     QuadratureSpec,
     default_points_per_axis,
     grid_points,
-    tensor_integral,
+    line_sums,
 )
 
 # ladder estimates enter the bound constant inflated by this safety factor
@@ -119,7 +119,7 @@ def strip_integral_bound(source: FunctionSource, sigma: float, s: float,
     half_width = quad.half_width
     n = quad.points_per_axis
     axes = [(-half_width, half_width, n)] * p
-    raw = abs_grid_sum(source, [axes], s, quad.summation)[0] * math.prod([2.0 * half_width / n] * p)
+    raw = abs_grid_sum(source, [axes], s)[0] * math.prod([2.0 * half_width / n] * p)
     lhs = float(raw) * math.exp(-s * sigma)
     norm = _resolve_norm(source, norm_value, norm_ladder, norm_quad)
     constant = strip_bound_constant(p, norm)
@@ -156,78 +156,80 @@ class ContourDecomposition:
     rest_points: int
 
 
-def _rest_axes(half_width: float, dim: int, rest_points: int):
-    return [(-half_width, half_width, rest_points)] * (dim - 1)
+def _line_integrals(fn, rows: np.ndarray, axis) -> np.ndarray:
+    """Midpoint integrals over one axis, one per row: line_sums times the cell."""
+    return line_sums(fn, rows, axis) * ((axis[1] - axis[0]) / axis[2])
 
 
-def _term_box_integrals(exponents: np.ndarray, axes, summation: str) -> np.ndarray:
+def _term_box_integrals(exponents: np.ndarray, axes) -> np.ndarray:
     """Per-term midpoint integrals prod_j int e^{a_mj t_j} dt_j over a box.
 
     exponents is a (k, p) complex matrix with one column per axis.  Each
     term's integrand factors over the axes, so its sum over the tensor grid
-    is the product of its p one-axis sums on the same nodes; each factor is
-    one one-axis tensor_integral with (k, n) block values.  The full grid
-    is never built, but its size is still held to the point budget.
+    is the product of its p one-axis sums on the same nodes, one row per term.
     """
-    grid_points([n for (_, _, n) in axes])
     result = np.ones(exponents.shape[0], dtype=np.complex128)
     for a, axis in zip(exponents.T, axes):
-        def fn(coords: np.ndarray, a=a) -> np.ndarray:
-            return np.exp(np.outer(a, coords[:, 0]))
-
-        result = result * tensor_integral(fn, [axis], summation)
+        result = result * _line_integrals(
+            lambda a, x, out: np.exp(np.multiply.outer(a, x, out=out), out=out), a, axis)
     return result
 
 
+def _sinc_rest(source: FunctionSource, rest) -> complex:
+    """A prod_{j>1} int sinc(a x_j) dx_j over p - 1 copies of the rest axis."""
+    line = _line_integrals(lambda _, x, out: np.copyto(out, sinc(source.scale * x)),
+                           np.zeros(1), rest)[0]
+    return source.amplitude * line ** (source.dim - 1)
+
+
 def _horizontal_edges(source: FunctionSource, omega: float, half_width: float,
-                      heights, x1_points: int, rest_points: int,
-                      summation: str) -> np.ndarray:
+                      heights, x1_points: int, rest_points: int) -> np.ndarray:
     """int f(x1 + iy, x') e^{i omega (x1 + iy)} dx over the box, at each height y.
 
     For a polynomial the integrand is sum_m c_m e^{-(lam_m1 + omega) y}
     e^{i <x, lam_m> + i omega x1}; the box integrals of the height-free
     factors are computed once and each height is a weighted sum of them.
-    Other sources are walked once per height.
+    A sinc product's edge is A e^{-omega y} int sinc(a(x1 + iy)) e^{i omega x1}
+    dx1 prod_{j>1} int sinc(a x_j) dx_j, one row per height.  The full grid is
+    held to the point budget, never built.
     """
-    p = source.dim
-    axes = [(-half_width, half_width, x1_points)] + _rest_axes(half_width, p, rest_points)
+    rest = (-half_width, half_width, rest_points)
+    axes = [(-half_width, half_width, x1_points)] + [rest] * (source.dim - 1)
+    grid_points([n for (_, _, n) in axes])
     heights = np.asarray(heights, dtype=np.float64)
     if source.kind == POLY:
         poly = source.poly
         guard_term_exponents(np.outer(heights, poly.freqs[:, 0]))
         shifted = poly.freqs.copy()
         shifted[:, 0] += omega
-        sums = _term_box_integrals(1j * shifted, axes, summation)
+        sums = _term_box_integrals(1j * shifted, axes)
         weights = np.exp(-np.outer(heights, shifted[:, 0])) * (poly.coeffs * sums)
         return weights.sum(axis=1)
 
-    edges = np.empty(heights.shape[0], dtype=np.complex128)
-    for i, y in enumerate(heights):
-        def fn(coords: np.ndarray) -> np.ndarray:
-            z = coords.astype(np.complex128)
-            z[:, 0] = z[:, 0] + 1j * y
-            return eval_complex(source, z) * np.exp(1j * omega * coords[:, 0])
+    def x1_rows(ys: np.ndarray, x: np.ndarray, out: np.ndarray):
+        np.multiply(sinc(source.scale * (x + 1j * ys[:, None])), np.exp(1j * omega * x), out=out)
 
-        edges[i] = tensor_integral(fn, axes, summation) * math.exp(-omega * y)
-    return edges
+    edges = _line_integrals(x1_rows, heights, axes[0]) * np.exp(-omega * heights)
+    return edges * _sinc_rest(source, rest)
 
 
-def _side_integral(source: FunctionSource, omega: float, half_width: float,
-                   y1: float, side_points: int, rest_points: int,
-                   summation: str, edge_sign: float) -> complex:
-    """i int_0^{y1} f(sign*T + is, x') e^{i sign T omega - s omega} dx' ds.
+def _side_integrals(source: FunctionSource, omega: float, half_width: float,
+                    y1: float, side_points: int, rest_points: int) -> list[complex]:
+    """i int_0^{y1} f(x1 + is, x') e^{i x1 omega - s omega} dx' ds at x1 = -T and x1 = T.
 
     For a polynomial the integrand is sum_m c_m e^{i lam_m1 x1}
     e^{-(lam_m1 + omega) s} e^{i <x', lam_m'>} times the phase, and its box
-    integral comes from per-term axis sums; other sources are walked
-    pointwise.
+    integral comes from per-term axis sums, shared by both sides.  A sinc
+    product's is A int sinc(a(x1 + is)) e^{-omega s} ds prod_{j>1} int
+    sinc(a x_j) dx_j times the phase, one row per side.
     """
     if y1 == 0.0:
-        return 0.0 + 0.0j
-    p = source.dim
-    axes = [(0.0, y1, side_points)] + _rest_axes(half_width, p, rest_points)
-    x1 = edge_sign * half_width
-    phase = 1j * math.cos(omega * x1) - math.sin(omega * x1)  # i * e^{i omega x1}
+        return [0.0 + 0.0j] * 2
+    rest = (-half_width, half_width, rest_points)
+    axes = [(0.0, y1, side_points)] + [rest] * (source.dim - 1)
+    grid_points([n for (_, _, n) in axes])
+    x1s = (-half_width, half_width)
+    phases = [1j * math.cos(omega * x1) - math.sin(omega * x1) for x1 in x1s]  # i e^{i omega x1}
     if source.kind == POLY:
         poly = source.poly
         # with omega > 0, |lam_m1 + omega| s <= y1 |lam_m1| whenever the
@@ -235,18 +237,15 @@ def _side_integral(source: FunctionSource, omega: float, half_width: float,
         guard_term_exponents(y1 * poly.freqs[:, 0])
         exponents = 1j * poly.freqs
         exponents[:, 0] = -(poly.freqs[:, 0] + omega)
-        sums = _term_box_integrals(exponents, axes, summation)
-        terms = poly.coeffs * np.exp(1j * x1 * poly.freqs[:, 0]) * sums
-        return complex(terms.sum() * phase)
+        sums = _term_box_integrals(exponents, axes)
+        return [complex((poly.coeffs * np.exp(1j * x1 * poly.freqs[:, 0]) * sums).sum() * phase)
+                for x1, phase in zip(x1s, phases)]
 
-    def fn(coords: np.ndarray) -> np.ndarray:
-        z = np.empty((coords.shape[0], p), dtype=np.complex128)
-        z[:, 0] = x1 + 1j * coords[:, 0]
-        if p > 1:
-            z[:, 1:] = coords[:, 1:]
-        return eval_complex(source, z) * np.exp(-omega * coords[:, 0])
+    def s_rows(x1: np.ndarray, t: np.ndarray, out: np.ndarray):
+        np.multiply(sinc(source.scale * (x1[:, None] + 1j * t)), np.exp(-omega * t), out=out)
 
-    return complex(tensor_integral(fn, axes, summation) * phase)
+    sides = _line_integrals(s_rows, np.array(x1s), axes[0]) * _sinc_rest(source, rest)
+    return [complex(side * phase) for side, phase in zip(sides, phases)]
 
 
 def contour_decomposition(source: FunctionSource, sigma: float, eta: float,
@@ -271,12 +270,8 @@ def contour_decomposition(source: FunctionSource, sigma: float, eta: float,
         rest_points = min(64, quad.points_per_axis) if p > 1 else 1
     omega = sigma + eta
     bottom, top = map(complex, _horizontal_edges(
-        source, omega, half_width, (0.0, y1), quad.points_per_axis, rest_points,
-        quad.summation))
-    left = _side_integral(source, omega, half_width, y1, side_points,
-                          rest_points, quad.summation, edge_sign=-1.0)
-    right = _side_integral(source, omega, half_width, y1, side_points,
-                           rest_points, quad.summation, edge_sign=+1.0)
+        source, omega, half_width, (0.0, y1), quad.points_per_axis, rest_points))
+    left, right = _side_integrals(source, omega, half_width, y1, side_points, rest_points)
     gap = abs(bottom - (left + top - right))
     return ContourDecomposition(real_axis=bottom, left_edge=left, top_edge=top,
                                 right_edge=right, closure_gap=gap, sigma=sigma,
@@ -317,8 +312,7 @@ def top_edge_decay_check(source: FunctionSource, sigma: float, eta: float,
     scale = constant * half_width ** p
     checks: list[InequalityCheck] = []
     magnitudes = np.abs(_horizontal_edges(
-        source, omega, half_width, y1s, quad.points_per_axis, rest_points,
-        quad.summation)).tolist()
+        source, omega, half_width, y1s, quad.points_per_axis, rest_points)).tolist()
     for y1, mag in zip(y1s, magnitudes):
         rhs = scale * math.exp(-eta * y1)
         tol = tolerance if tolerance is not None else 1e-9 * (1.0 + rhs)
@@ -382,7 +376,6 @@ class VerifyConfig:
     rest_points: int = 16
     norm_ladder: LadderSpec = field(default_factory=LadderSpec)
     norm_points: int | None = None
-    summation: str = "compensated"
 
     def __post_init__(self):
         # every stage after the scan indexes or loops over these ladders; an
@@ -469,8 +462,7 @@ def verify_spectral_containment(source: FunctionSource,
             candidates = _default_candidates(source, sigma_known)
         scan_points = config.scan_points or default_points_per_axis(source.dim)
         scan_quad = QuadratureSpec(half_width=config.scan_half_width,
-                                   points_per_axis=scan_points,
-                                   summation=config.summation)
+                                   points_per_axis=scan_points)
         spectrum = spectrum_scan(source, candidates, scan_quad, config.threshold)
         partial["spectrum"] = spectrum
 
@@ -483,8 +475,7 @@ def verify_spectral_containment(source: FunctionSource,
         stage = "seminorm"
         norm_points = config.norm_points or default_points_per_axis(source.dim)
         norm_quad = QuadratureSpec(half_width=config.norm_ladder.base,
-                                   points_per_axis=norm_points,
-                                   summation=config.summation)
+                                   points_per_axis=norm_points)
         norm = NORM_SAFETY * besicovitch_seminorm(source, config.norm_ladder, norm_quad).value
         partial["norm_estimate"] = norm
 
@@ -493,9 +484,7 @@ def verify_spectral_containment(source: FunctionSource,
         strips = []
         for half_width in config.strip_half_widths:
             for s in config.strip_s:
-                strip_quad = QuadratureSpec(half_width=half_width,
-                                            points_per_axis=strip_points,
-                                            summation=config.summation)
+                strip_quad = QuadratureSpec(half_width=half_width, points_per_axis=strip_points)
                 strips.append(strip_integral_bound(
                     source, sigma_known, s, strip_quad,
                     s_max=max(config.strip_s),
@@ -505,8 +494,7 @@ def verify_spectral_containment(source: FunctionSource,
 
         stage = "top_edge_decay"
         decay_quad = QuadratureSpec(half_width=config.strip_half_widths[0],
-                                    points_per_axis=config.decay_x1_points,
-                                    summation=config.summation)
+                                    points_per_axis=config.decay_x1_points)
         decay = top_edge_decay_check(
             source, sigma_known, config.eta, config.strip_half_widths[0],
             config.y1_values, decay_quad,

@@ -63,9 +63,8 @@ class TestBoxAverage:
         q = QuadratureSpec(half_width=50.0, points_per_axis=512)
         assert box_average_abs(f, q) == 0.0
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("dim,points", [(1, 4096), (1, 100003), (2, 300), (3, 41)])
-    def test_polynomial_kernel_matches_pointwise_walk(self, dim, points, summation):
+    def test_polynomial_kernel_matches_pointwise_walk(self, dim, points):
         # per-axis tables and a matrix product against |f| evaluated node by
         # node on the same blocks.  100003 is prime, so its 317 x 317 coarse x
         # fine split is truncated; the 2-D 300 and 3-D 41 grids span two
@@ -74,24 +73,23 @@ class TestBoxAverage:
             p = generate_polynomial(seed=8100 + 10 * dim + i, dim=dim, n_terms=1 + 2 * i,
                                     radius=2.0, min_gap=0.5)
             f = FunctionSource.from_poly(p)
-            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=points)
             ref = tensor_sum(lambda c: np.abs(eval_real(f, c)),
-                             symmetric_axes(T, points, dim), summation) / points ** dim
+                             symmetric_axes(T, points, dim)) / points ** dim
             assert abs(box_average_abs(f, q) - ref) <= 1e-13 * p.coefficient_l1()
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 17, 400.0), (2, 300, 137.0),
                                               (2, 41, 400.0), (3, 41, 50.0)])
-    def test_sinc_factor_sums_match_pointwise_walk(self, dim, points, T, summation):
+    def test_sinc_factor_sums_match_pointwise_walk(self, dim, points, T):
         # |A| prod_j sum_i |sinc(a x_i)| against |f| node by node (the walk
         # this route replaced); 17 and 41 nodes at T = 400 undersample and
         # put a node at x = 0.  Bound fixed beforehand: 4 eps |A| (p + 1 +
         # Phi + log2 N) with Phi = |a| p T, the addition formula's phase error
         for scale, amplitude in ((0.8, 1.5), (2.3, 0.7 - 0.4j)):
             f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
-            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=points)
             ref = tensor_sum(lambda c: np.abs(eval_real(f, c)),
-                             symmetric_axes(T, points, dim), summation) / points ** dim
+                             symmetric_axes(T, points, dim)) / points ** dim
             bound = 4 * np.finfo(float).eps * abs(amplitude) * (
                 dim + 1 + scale * dim * T + math.log2(points ** dim))
             assert abs(box_average_abs(f, q) - ref) <= bound
@@ -108,13 +106,11 @@ class TestBoxAverage:
         f = FunctionSource.from_poly(p)
         shift = np.zeros(dim)
         shift[0] = 0.5
-        for summation in ("compensated", "naive"):
-            got = meanvalue.abs_grid_sum(f, [symmetric_axes(60.0, points, dim)], 0.5, summation)[0]
-            ref = tensor_sum(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
-                             symmetric_axes(60.0, points, dim), summation, block=50)
-            envelope = points ** dim * float(np.sum(np.abs(p.coeffs)
-                                                    * np.exp(-0.5 * p.freqs[:, 0])))
-            assert abs(got - ref) <= 1e-13 * envelope
+        got = meanvalue.abs_grid_sum(f, [symmetric_axes(60.0, points, dim)], 0.5)[0]
+        ref = tensor_sum(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
+                         symmetric_axes(60.0, points, dim), block=50)
+        envelope = points ** dim * float(np.sum(np.abs(p.coeffs) * np.exp(-0.5 * p.freqs[:, 0])))
+        assert abs(got - ref) <= 1e-13 * envelope
 
     @pytest.mark.parametrize("dim,points", [(1, 65536), (1, 98883), (2, 273), (2, 512),
                                             (3, 42), (3, 96)])
@@ -143,23 +139,20 @@ class TestBoxAverage:
         magnitudes = np.abs((lead @ last).ravel()[:points ** dim])
         blocks = []
 
-        def recording_index_sum(fn, total, summation, block):
+        def recording_index_sum(fn, total, block):
             def record(start, stop):
                 values = fn(start, stop)
                 blocks.append(values.copy())
                 return values
 
-            return index_sum(record, total, summation, block)
+            return index_sum(record, total, block)
 
         monkeypatch.setattr(meanvalue, "index_sum", recording_index_sum)
-        for summation in ("compensated", "naive"):
-            blocks.clear()
-            got, = meanvalue.abs_grid_sum(FunctionSource.from_poly(p),
-                                          [symmetric_axes(T, points, dim)], s, summation)
-            assert np.concatenate(blocks).tobytes() == magnitudes.tobytes()
-            ref = index_sum(lambda start, stop: magnitudes[start:stop], points ** dim,
-                            summation)
-            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+        got, = meanvalue.abs_grid_sum(FunctionSource.from_poly(p),
+                                      [symmetric_axes(T, points, dim)], s)
+        assert np.concatenate(blocks).tobytes() == magnitudes.tobytes()
+        ref = index_sum(lambda start, stop: magnitudes[start:stop], points ** dim)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestSeminormLadder:
@@ -183,11 +176,10 @@ class TestSeminormLadder:
         assert [hw for hw, _ in est.per_level] == [25.0, 50.0, 100.0]
         assert est.value == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("kind", ["poly", "sinc"])
     @pytest.mark.parametrize("dim,points", [(1, 4096), (1, 10007), (2, 64), (2, 300),
                                             (3, 16), (3, 41)])
-    def test_levels_equal_one_grid_sums(self, dim, points, kind, summation):
+    def test_levels_equal_one_grid_sums(self, dim, points, kind):
         # one abs_grid_sum call sums every level, from tables made once for
         # all of them; each level's sum is its one-grid sum, bit for bit,
         # unshifted as the ladder takes it and shifted as a strip would
@@ -196,14 +188,14 @@ class TestSeminormLadder:
                 seed=8400 + dim, dim=dim, n_terms=5, radius=2.0, min_gap=0.5))
         else:
             f = FunctionSource.sinc_product(dim, scale=0.8, amplitude=1.5 - 0.3j)
-        q = QuadratureSpec(half_width=50.0, points_per_axis=points, summation=summation)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=points)
         est = besicovitch_seminorm(f, LadderSpec(), q)
         grids = [symmetric_axes(half_width, points, dim) for half_width, _ in est.per_level]
-        singles = [meanvalue.abs_grid_sum(f, [grid], 0.0, summation)[0] for grid in grids]
+        singles = [meanvalue.abs_grid_sum(f, [grid], 0.0)[0] for grid in grids]
         means = [mean for _, mean in est.per_level]
         assert np.array(means).tobytes() == (np.array(singles) / points ** dim).tobytes()
-        shifted = [meanvalue.abs_grid_sum(f, [grid], 0.5, summation)[0] for grid in grids]
-        assert (np.array(meanvalue.abs_grid_sum(f, grids, 0.5, summation)).tobytes()
+        shifted = [meanvalue.abs_grid_sum(f, [grid], 0.5)[0] for grid in grids]
+        assert (np.array(meanvalue.abs_grid_sum(f, grids, 0.5)).tobytes()
                 == np.array(shifted).tobytes())
 
     @pytest.mark.parametrize("dim,points", [(1, 10 ** 6), (2, 1000)])
@@ -280,10 +272,10 @@ class TestQuadratureCoefficient:
         assert gap <= bound
 
 
-def pointwise_coefficient(source, lam, T, points, summation):
+def pointwise_coefficient(source, lam, T, points):
     """Grid mean of f(x) e^{-i<x, lam>}, evaluated node by node over the full grid."""
     return tensor_sum(lambda c: eval_real(source, c) * np.exp(-1j * (c @ lam)),
-                      symmetric_axes(T, points, source.dim), summation) / points ** source.dim
+                      symmetric_axes(T, points, source.dim)) / points ** source.dim
 
 
 # 100003 is prime and longer than REDUCE_BLOCK, so its coarse x fine split
@@ -292,46 +284,43 @@ REFERENCE_GRIDS = [(1, 100003), (1, 4096), (1, 2), (1, 3), (2, 300), (3, 41)]
 
 
 class TestGridCoefficientRoutes:
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("dim,points", REFERENCE_GRIDS)
-    def test_polynomial_matches_pointwise_walk(self, dim, points, summation):
+    def test_polynomial_matches_pointwise_walk(self, dim, points):
         rng = np.random.default_rng(8300 + 10 * dim + points % 97)
         for i, T in enumerate((50.0, 137.0, 400.0)):
             p = generate_polynomial(seed=8300 + 10 * dim + i, dim=dim, n_terms=1 + 2 * i,
                                     radius=2.0, min_gap=0.5)
             f = FunctionSource.from_poly(p)
-            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=points)
             for lam in (p.freqs[-1], rng.uniform(-2.0, 2.0, dim)):
-                ref = pointwise_coefficient(f, lam, T, points, summation)
+                ref = pointwise_coefficient(f, lam, T, points)
                 got = fourier_coeff_quadrature(f, lam, q)
                 assert abs(got - ref) <= 1e-13 * p.coefficient_l1()
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("dim,points", REFERENCE_GRIDS)
-    def test_sinc_product_matches_pointwise_walk(self, dim, points, summation):
+    def test_sinc_product_matches_pointwise_walk(self, dim, points):
         rng = np.random.default_rng(8400 + 10 * dim + points % 97)
         for T in (5.0, 50.0, 400.0):
             scale = float(rng.uniform(0.5, 1.0))
             amplitude = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
             f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
-            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=points)
             for lam in (np.zeros(dim), rng.uniform(-2.0 * scale, 2.0 * scale, dim)):
-                ref = pointwise_coefficient(f, lam, T, points, summation)
+                ref = pointwise_coefficient(f, lam, T, points)
                 got = fourier_coeff_quadrature(f, lam, q)
                 assert abs(got - ref) <= 1e-13 * abs(amplitude)
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 4096, 50.0),
                                               (1, 2, 0.5), (1, 3, 0.5), (2, 300, 10.0),
                                               (3, 41, 5.0)])
-    def test_sinc_scan_matches_pointwise_walk(self, dim, points, T, summation):
+    def test_sinc_scan_matches_pointwise_walk(self, dim, points, T):
         # T is small enough on coarse grids that the cross-talk floor leaves
         # some candidates detectable
         rng = np.random.default_rng(8500 + 10 * dim + points % 97)
         scale = float(rng.uniform(0.5, 1.0))
         amplitude = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
-        q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+        q = QuadratureSpec(half_width=T, points_per_axis=points)
         cands = np.zeros((5, dim))
         cands[1] = rng.uniform(-scale, scale, dim)
         cands[2, 0] = 0.5 * scale
@@ -340,7 +329,7 @@ class TestGridCoefficientRoutes:
         threshold = 1.5 * crosstalk_floor(f, cands, q)
         report = spectrum_scan(f, cands, q, threshold)
         assert report.method == "quadrature"
-        refs = [pointwise_coefficient(f, c, T, points, summation) for c in cands]
+        refs = [pointwise_coefficient(f, c, T, points) for c in cands]
         want = sorted(tuple(c) for c, r in zip(cands, refs) if abs(r) >= threshold)
         assert want
         assert sorted(tuple(e.frequency) for e in report.entries) == want

@@ -5,13 +5,12 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apspec import BudgetExceededError, LadderSpec, PreconditionError, QuadratureSpec
 from apspec.quadrature import (
     BUDGET_ENV_VAR,
-    COMPENSATED,
     KahanAccumulator,
     REDUCE_BLOCK,
     check_budget,
@@ -20,12 +19,12 @@ from apspec.quadrature import (
     full_grid,
     grid_points,
     index_sum,
+    line_sums,
     midpoint_nodes,
     point_budget,
     reduce_in_blocks,
     split_axis,
     symmetric_axes,
-    tensor_integral,
     tensor_sum,
 )
 
@@ -36,8 +35,6 @@ class TestSpecs:
             QuadratureSpec(half_width=0.0, points_per_axis=10)
         with pytest.raises(PreconditionError):
             QuadratureSpec(half_width=1.0, points_per_axis=1)
-        with pytest.raises(PreconditionError):
-            QuadratureSpec(half_width=1.0, points_per_axis=10, summation="magic")
 
     def test_ladder_doubles_half_widths(self):
         lad = LadderSpec(base=50.0, levels=4, tail_levels=2)
@@ -69,38 +66,30 @@ class TestSummation:
 
     def test_reduce_in_blocks_compensated(self):
         parts = np.array([1e16, 1.0, -1e16, 1.0])
-        assert reduce_in_blocks(parts, "compensated") == pytest.approx(2.0)
+        assert reduce_in_blocks(parts) == pytest.approx(2.0)
 
-    def test_reduce_in_blocks_plain(self):
+    def test_reduce_in_blocks_sums_small_partials(self):
         parts = np.arange(10.0)
-        assert reduce_in_blocks(parts, COMPENSATED) == pytest.approx(45.0)
-
-    def test_unknown_summation_name_rejected(self):
-        axes = [(-1.0, 1.0, 8)]
-        ones = lambda c: np.ones(c.shape[0])
-        with pytest.raises(PreconditionError, match="plain"):
-            reduce_in_blocks(np.arange(10.0), "plain")
-        with pytest.raises(PreconditionError, match="plain"):
-            index_sum(lambda start, stop: np.ones(stop - start), 8, "plain")
-        for walk in (tensor_sum, tensor_integral):
-            with pytest.raises(PreconditionError, match="plain"):
-                walk(ones, axes, "plain")
+        assert reduce_in_blocks(parts) == pytest.approx(45.0)
 
 
 class TestTensorRoutines:
     def test_mean_of_constant_is_exact(self):
         axes = [(-2.0, 2.0, 64), (-2.0, 2.0, 32)]
-        out = tensor_sum(lambda c: np.ones(c.shape[0]), axes, "compensated") / (64 * 32)
+        out = tensor_sum(lambda c: np.ones(c.shape[0]), axes) / (64 * 32)
         assert out == 1.0
 
     def test_integral_of_constant_is_volume(self):
+        # the library integrates one axis at a time: line sums times the cell
         axes = [(-2.0, 2.0, 16), (-1.0, 1.0, 16)]
-        out = tensor_integral(lambda c: np.ones(c.shape[0]), axes, "compensated")
+        ones = lambda rows, x, out: out.fill(1.0)
+        out = math.prod(line_sums(ones, np.zeros(1), axis)[0] * (axis[1] - axis[0]) / axis[2]
+                        for axis in axes)
         assert out == pytest.approx(8.0, rel=1e-14)
 
     def test_sum_counts_points(self):
         axes = [(-1.0, 1.0, 8), (-1.0, 1.0, 4)]
-        out = tensor_sum(lambda c: np.ones(c.shape[0]), axes, "compensated")
+        out = tensor_sum(lambda c: np.ones(c.shape[0]), axes)
         assert out == pytest.approx(32.0)
 
     @given(st.floats(min_value=0.1, max_value=3.0), st.integers(min_value=8, max_value=512))
@@ -109,13 +98,12 @@ class TestTensorRoutines:
         # the midpoint mean of e^{i mu x} over [-T, T] telescopes exactly
         T = 5.0
         axes = [(-T, T, n)]
-        out = tensor_sum(lambda c: np.exp(1j * mu * c[:, 0]), axes, "compensated") / n
+        out = tensor_sum(lambda c: np.exp(1j * mu * c[:, 0]), axes) / n
         expected = math.sin(mu * T) / (n * math.sin(mu * T / n))
         assert out == pytest.approx(expected, abs=5e-13)
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("complex_valued", [False, True])
-    def test_vector_fn_matches_scalar_sums_bitwise(self, summation, complex_valued):
+    def test_vector_fn_matches_scalar_sums_bitwise(self, complex_valued):
         freqs = np.array([[1.3, 0.2], [-0.7, 2.0], [0.0, 0.0], [5.1, -3.3]])
 
         def rows(c):
@@ -126,14 +114,13 @@ class TestTensorRoutines:
             return vals
 
         axes = [(-3.0, 3.0, 301), (-2.0, 2.0, 101)]  # 30401 nodes, 8 blocks
-        vec = tensor_sum(rows, axes, summation, block=4096)
+        vec = tensor_sum(rows, axes, block=4096)
         assert vec.shape == (4,)
         for j in range(4):
-            scalar = tensor_sum(lambda c: rows(c)[j], axes, summation, block=4096)
+            scalar = tensor_sum(lambda c: rows(c)[j], axes, block=4096)
             assert vec[j].tobytes() == np.asarray(scalar).tobytes()
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
-    def test_index_walk_matches_coordinate_walk_bitwise(self, summation):
+    def test_index_walk_matches_coordinate_walk_bitwise(self):
         axes = [(-3.0, 3.0, 301), (-2.0, 2.0, 101)]  # 30401 nodes, 8 blocks
         ns = [n for (_, _, n) in axes]
         nodes = [midpoint_nodes(lo, hi, n) for (lo, hi, n) in axes]
@@ -141,13 +128,13 @@ class TestTensorRoutines:
         def f(x, y):
             return np.exp(1j * (1.3 * x - 0.7 * y)) + 1e12 * np.sign(x)
 
-        by_coords = tensor_sum(lambda c: f(c[:, 0], c[:, 1]), axes, summation, block=4096)
+        by_coords = tensor_sum(lambda c: f(c[:, 0], c[:, 1]), axes, block=4096)
 
         def by_index(start, stop):
             i, j = np.unravel_index(np.arange(start, stop), ns)
             return f(nodes[0][i], nodes[1][j])
 
-        by_idx = index_sum(by_index, grid_points(ns), summation, block=4096)
+        by_idx = index_sum(by_index, grid_points(ns), block=4096)
         assert np.asarray(by_idx).tobytes() == np.asarray(by_coords).tobytes()
 
     @pytest.mark.parametrize("total,block", [(1, 4096), (4096, 4096), (30401, 4096),
@@ -161,7 +148,7 @@ class TestTensorRoutines:
             seen.append((start, stop))
             return np.ones(stop - start)
 
-        assert index_sum(fn, total, COMPENSATED, block) == total
+        assert index_sum(fn, total, block) == total
         assert seen == [(s, min(s + block, total)) for s in range(0, total, block)]
         assert seen[-1][1] - seen[-1][0] == (total % block or block)
 
@@ -176,12 +163,41 @@ class TestTensorRoutines:
         assert np.allclose(grid[1], [0.0, 20.0])
 
 
+def damped_waves(rows, x, out):
+    """e^{a x} for complex exponents a, one row per exponent, written into out."""
+    np.exp(np.multiply.outer(rows, x, out=out), out=out)
+
+
+class TestLineSums:
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=1, max_value=40),
+           st.sampled_from([1, 2, 3, 4096, 100003, 2 * REDUCE_BLOCK + 1]))
+    @example(0, 40, 2 * REDUCE_BLOCK + 1)
+    @example(1, 40, 1)
+    @settings(max_examples=12, deadline=None)
+    def test_rows_are_one_row_sums_and_match_pointwise(self, seed, n_rows, n):
+        # rows are grouped so a block holds about REDUCE_BLOCK values (one row
+        # per group past it, 16 rows of 4096, all rows for n <= 3); each row's
+        # sum is bitwise its one-row call.  Against math.fsum of the same node
+        # values the bound is fixed beforehand at 4 eps (1 + log2 n) sum |v|:
+        # pairwise sums within blocks, Kahan-compensated across them
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-0.3, 0.3, n_rows) + 1j * rng.uniform(-4.0, 4.0, n_rows)
+        axis = (-5.0, 7.0, n)
+        sums = line_sums(damped_waves, rows, axis)
+        assert sums.shape == (n_rows,)
+        values = np.exp(np.outer(rows, midpoint_nodes(*axis)))
+        for j in range(n_rows):
+            assert sums[j].tobytes() == line_sums(damped_waves, rows[j:j + 1], axis)[0].tobytes()
+            ref = complex(math.fsum(values[j].real.tolist()), math.fsum(values[j].imag.tolist()))
+            bound = 4 * np.finfo(float).eps * (1 + math.log2(n)) * float(np.sum(np.abs(values[j])))
+            assert abs(sums[j] - ref) <= bound
+
+
 class TestExpAxisSums:
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("kind", ["imaginary", "real", "mixed"])
     @pytest.mark.parametrize("lo,hi", [(-50.0, 50.0), (0.0, 4.0)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65537, 100003])
-    def test_matches_direct_sum_over_midpoints(self, n, lo, hi, kind, summation):
+    def test_matches_direct_sum_over_midpoints(self, n, lo, hi, kind):
         # coarse x fine split against exp() at every midpoint.  3, 17, 101,
         # 65537 and 100003 leave a partial last row; the direct sums over
         # 65537 and 100003 nodes span two REDUCE_BLOCK blocks
@@ -193,8 +209,8 @@ class TestExpAxisSums:
         if kind != "imaginary":
             a[1:] += rng.uniform(-8.0, 8.0, 6) / reach
         nodes = midpoint_nodes(lo, hi, n)
-        ref = index_sum(lambda start, stop: np.exp(np.outer(a, nodes[start:stop])), n, summation)
-        got = exp_axis_sums(a, (lo, hi, n), summation)
+        ref = index_sum(lambda start, stop: np.exp(np.outer(a, nodes[start:stop])), n)
+        got = exp_axis_sums(a, (lo, hi, n))
         scale = np.sum(np.abs(np.exp(np.outer(a, nodes))), axis=1)
         assert got.shape == a.shape
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
@@ -224,8 +240,7 @@ class TestBudget:
     def test_tensor_sum_respects_budget(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "100")
         with pytest.raises(BudgetExceededError):
-            tensor_sum(lambda c: np.ones(c.shape[0]), [(-1.0, 1.0, 64), (-1.0, 1.0, 64)],
-                       "compensated")
+            tensor_sum(lambda c: np.ones(c.shape[0]), [(-1.0, 1.0, 64), (-1.0, 1.0, 64)])
 
     def test_malformed_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv(BUDGET_ENV_VAR, "not-a-number")

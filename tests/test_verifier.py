@@ -31,8 +31,13 @@ from apspec import (
     verify_spectral_containment,
 )
 from apspec.meanvalue import SpectrumEntry, SpectrumReport, abs_grid_sum
-from apspec.quadrature import BUDGET_ENV_VAR, symmetric_axes, tensor_integral
+from apspec.quadrature import BUDGET_ENV_VAR, symmetric_axes, tensor_sum
 from apspec.verifier import _default_candidates, _horizontal_edges
+
+
+def tensor_integral(fn, axes):
+    """Midpoint-rule integral of fn over the box, walked node by node: the reference."""
+    return tensor_sum(fn, axes) * math.prod((hi - lo) / n for (lo, hi, n) in axes)
 
 
 def single_exp(lam):
@@ -85,8 +90,7 @@ class TestStripIntegralBound:
             assert r.passed
             assert r.norm_estimate > 0.1  # amplitudes start at 0.1
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
-    def test_polynomial_walk_matches_pointwise_walk(self, summation):
+    def test_polynomial_walk_matches_pointwise_walk(self):
         # the table-and-matmul kernel (every dimension; one variable is split
         # into coarse x fine nodes) against |f| evaluated node by node
         npts = {1: 4096, 2: 256, 3: 48}
@@ -97,8 +101,7 @@ class TestStripIntegralBound:
             f = FunctionSource.from_poly(p)
             sigma = exact_type(p)
             T = 50.0
-            q = QuadratureSpec(half_width=T, points_per_axis=npts[dim],
-                               summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=npts[dim])
             axes = [(-T, T, npts[dim])] * dim
             for s in (0.25, 1.0):
                 r = strip_integral_bound(f, sigma=sigma, s=s, quad=q, norm_value=1.0,
@@ -106,28 +109,27 @@ class TestStripIntegralBound:
                 shift = np.zeros(dim)
                 shift[0] = s
                 ref = tensor_integral(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
-                                      axes, summation) * math.exp(-s * sigma)
+                                      axes) * math.exp(-s * sigma)
                 envelope = (2.0 * T) ** dim * float(np.sum(
                     np.abs(p.coeffs) * np.exp(-s * p.freqs[:, 0]))) * math.exp(-s * sigma)
                 assert abs(r.lhs - ref) <= 1e-13 * envelope
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 17, 400.0), (2, 300, 137.0),
                                               (3, 41, 50.0)])
-    def test_sinc_factor_sums_match_pointwise_walk(self, dim, points, T, summation):
+    def test_sinc_factor_sums_match_pointwise_walk(self, dim, points, T):
         # |A| prod_j sum_i |sinc(a x_ji)|, with x_1 + is in the first factor,
         # against |f(x1 + is, x')| node by node (the walk this route
         # replaced).  Bound fixed beforehand: 4 eps C (p + 1 + Phi + log2 N)
         # per node, C = |A| cosh(a s) and Phi = |a| p T
         for scale, amplitude, s in ((0.8, 1.5, 0.5), (2.3, 0.7 - 0.4j, 0.25), (0.5, 1.0, 1.0)):
             f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
-            q = QuadratureSpec(half_width=T, points_per_axis=points, summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=points)
             r = strip_integral_bound(f, sigma=0.3, s=s, quad=q, norm_value=1.0,
                                      min_half_width=50.0)
             shift = np.zeros(dim)
             shift[0] = s
             ref = tensor_integral(lambda c: np.abs(eval_complex(f, c + 1j * shift)),
-                                  symmetric_axes(T, points, dim), summation) * math.exp(-0.3 * s)
+                                  symmetric_axes(T, points, dim)) * math.exp(-0.3 * s)
             bound = 4 * np.finfo(float).eps * abs(amplitude) * math.cosh(scale * s) * (
                 dim + 1 + scale * dim * T + math.log2(points ** dim)) * (2 * T) ** dim
             assert abs(r.lhs - ref) <= bound
@@ -142,8 +144,7 @@ class TestStripIntegralBound:
                                 min_gap=0.5)
         tracemalloc.start()
         try:
-            abs_grid_sum(FunctionSource.from_poly(p), [symmetric_axes(50.0, points, dim)], 0.5,
-                         "compensated")
+            abs_grid_sum(FunctionSource.from_poly(p), [symmetric_axes(50.0, points, dim)], 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,22 +256,26 @@ class TestContourDecomposition:
             contour_decomposition(f, sigma=-2.0, eta=0.5, half_width=4.0, y1=1.0, quad=q)
 
 
-def reference_edges(source, omega, half_width, y1, x1_points, rest_points,
-                    summation="compensated"):
-    """Bottom and top edge by one grid walk each, evaluating f pointwise."""
+def reference_edges(source, omega, half_width, y1, x1_points, rest_points, magnitude=False):
+    """Bottom and top edge by one grid walk each, evaluating f pointwise.
+
+    With magnitude, each walk sums the integrand's modulus instead: the
+    edge's l1 envelope.
+    """
     axes = ([(-half_width, half_width, x1_points)]
             + [(-half_width, half_width, rest_points)] * (source.dim - 1))
+    form = np.abs if magnitude else np.asarray
 
     def fn_bottom(coords):
-        return eval_real(source, coords) * np.exp(1j * omega * coords[:, 0])
+        return form(eval_real(source, coords) * np.exp(1j * omega * coords[:, 0]))
 
     def fn_top(coords):
         z = coords.astype(np.complex128)
         z[:, 0] = z[:, 0] + 1j * y1
-        return eval_complex(source, z) * np.exp(1j * omega * coords[:, 0])
+        return form(eval_complex(source, z) * np.exp(1j * omega * coords[:, 0]))
 
-    bottom = tensor_integral(fn_bottom, axes, summation)
-    top = tensor_integral(fn_top, axes, summation) * math.exp(-omega * y1)
+    bottom = tensor_integral(fn_bottom, axes)
+    top = tensor_integral(fn_top, axes) * math.exp(-omega * y1)
     return complex(bottom), complex(top)
 
 
@@ -299,7 +304,7 @@ class TestHorizontalEdges:
             sigma, eta = exact_type(f.poly), 0.5
             omega = sigma + eta
             rest = 8 if f.dim > 1 else 1
-            edges = _horizontal_edges(f, omega, T, self.HEIGHTS, 512, rest, "compensated")
+            edges = _horizontal_edges(f, omega, T, self.HEIGHTS, 512, rest)
             assert edges.shape == (len(self.HEIGHTS),)
             for y1, edge in zip(self.HEIGHTS, edges):
                 _, ref = reference_edges(f, omega, T, y1, 512, rest)
@@ -333,15 +338,6 @@ class TestHorizontalEdges:
             assert abs(d.real_axis - bottom) <= self.REL_TOL * edge_envelope(f.poly, omega, T, 0.0)
             assert abs(d.top_edge - top) <= self.REL_TOL * edge_envelope(f.poly, omega, T, y1)
 
-    def test_sinc_product_walks_each_height(self):
-        f = FunctionSource.sinc_product(2, scale=0.5)
-        omega, T = 1.2, 3.0
-        heights = (0.0, 1.0, 2.0)
-        edges = _horizontal_edges(f, omega, T, heights, 256, 8, "compensated")
-        for y1, edge in zip(heights, edges):
-            assert edge == reference_edges(f, omega, T, y1, 256, 8)[1]
-        assert edges[0] == reference_edges(f, omega, T, 1.0, 256, 8)[0]
-
     @pytest.mark.parametrize("lam", [[-100.0], [90.0, 0.5]])
     def test_exponent_guard_still_fires(self, lam):
         # y1 * |lam_1| = 800 or 720 passes the exp() guard of 700
@@ -358,18 +354,22 @@ class TestHorizontalEdges:
 
 
 def reference_side(source, omega, half_width, y1, side_points, rest_points, edge_sign,
-                   summation="compensated"):
-    """One vertical edge of the contour by a grid walk evaluating f pointwise."""
+                   magnitude=False):
+    """One vertical edge of the contour by a grid walk evaluating f pointwise.
+
+    With magnitude, the walk sums the integrand's modulus: the l1 envelope.
+    """
     axes = ([(0.0, y1, side_points)]
             + [(-half_width, half_width, rest_points)] * (source.dim - 1))
     x1 = edge_sign * half_width
+    form = np.abs if magnitude else np.asarray
 
     def fn(coords):
         z = coords.astype(np.complex128)
         z[:, 0] = x1 + 1j * coords[:, 0]
-        return eval_complex(source, z) * np.exp(1j * omega * z[:, 0])
+        return form(eval_complex(source, z) * np.exp(1j * omega * z[:, 0]))
 
-    return complex(1j * tensor_integral(fn, axes, summation))
+    return complex(1j * tensor_integral(fn, axes))
 
 
 def side_envelope(poly, omega, half_width, y1):
@@ -384,9 +384,8 @@ class TestSideEdges:
     T_BY_DIM = {1: 4.0, 2: 3.0, 3: 2.0}
     REL_TOL = 1e-13
 
-    @pytest.mark.parametrize("summation", ["compensated", "naive"])
     @pytest.mark.parametrize("y1", [0.5, 1.0, 4.0])
-    def test_side_edges_match_pointwise_walk(self, y1, summation):
+    def test_side_edges_match_pointwise_walk(self, y1):
         for i in range(6):
             dim = 1 + i % 3
             p = generate_polynomial(seed=7300 + i, dim=dim, n_terms=2 + i % 4,
@@ -396,12 +395,12 @@ class TestSideEdges:
             sigma, eta = exact_type(p), 0.5
             omega = sigma + eta
             rest = 8 if dim > 1 else 1
-            q = QuadratureSpec(half_width=T, points_per_axis=256, summation=summation)
+            q = QuadratureSpec(half_width=T, points_per_axis=256)
             d = contour_decomposition(f, sigma=sigma, eta=eta, half_width=T, y1=y1,
                                       quad=q, side_points=256, rest_points=rest)
             envelope = side_envelope(p, omega, T, y1)
             for edge, sign in ((d.left_edge, -1.0), (d.right_edge, +1.0)):
-                ref = reference_side(f, omega, T, y1, 256, rest, sign, summation)
+                ref = reference_side(f, omega, T, y1, 256, rest, sign)
                 assert abs(edge - ref) <= self.REL_TOL * envelope
 
     def test_point_budget_covers_full_edge_grid(self, monkeypatch):
@@ -423,6 +422,91 @@ class TestSideEdges:
         with pytest.raises(BudgetExceededError):
             contour_decomposition(f, sigma=sigma, eta=0.5, half_width=4.0, y1=1.0, quad=q,
                                   side_points=16, rest_points=8)
+
+
+class TestSincEdges:
+    # a sinc product's edges are products of per-axis line sums; the
+    # pointwise walk of the whole edge grid is the reference.  Bound fixed
+    # beforehand: 1e-13 of the edge's l1 envelope, int |integrand| node by
+    # node (the two differ in summation order and in the order of the
+    # per-axis factors)
+    T_BY_DIM = {1: 4.0, 2: 3.0, 3: 2.0}
+    HEIGHTS = (0.0, 1.0, 2.0, 2.0, 4.0)
+    REL_TOL = 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("y1", [0.5, 2.0])
+    def test_edges_match_pointwise_walk(self, dim, y1):
+        T = self.T_BY_DIM[dim]
+        rest = 8 if dim > 1 else 1
+        for scale, amplitude, sigma in ((0.5, 1.0, 1.2), (1.7, 0.6 - 0.8j, 0.3)):
+            f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
+            eta = 0.5
+            omega = sigma + eta
+            q = QuadratureSpec(half_width=T, points_per_axis=512)
+            d = contour_decomposition(f, sigma=sigma, eta=eta, half_width=T, y1=y1,
+                                      quad=q, side_points=256, rest_points=rest)
+            bottom, top = reference_edges(f, omega, T, y1, 512, rest)
+            l1_bottom, l1_top = reference_edges(f, omega, T, y1, 512, rest, magnitude=True)
+            assert abs(d.real_axis - bottom) <= self.REL_TOL * abs(l1_bottom)
+            assert abs(d.top_edge - top) <= self.REL_TOL * abs(l1_top)
+            for edge, sign in ((d.left_edge, -1.0), (d.right_edge, +1.0)):
+                ref = reference_side(f, omega, T, y1, 256, rest, sign)
+                l1 = abs(reference_side(f, omega, T, y1, 256, rest, sign, magnitude=True))
+                assert abs(edge - ref) <= self.REL_TOL * l1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_heights_match_pointwise_walk(self, dim):
+        T = self.T_BY_DIM[dim]
+        rest = 8 if dim > 1 else 1
+        f = FunctionSource.sinc_product(dim, scale=0.9, amplitude=1.5 + 0.5j)
+        omega = 1.4
+        edges = _horizontal_edges(f, omega, T, self.HEIGHTS, 512, rest)
+        for y1, edge in zip(self.HEIGHTS, edges):
+            _, ref = reference_edges(f, omega, T, y1, 512, rest)
+            _, l1 = reference_edges(f, omega, T, y1, 512, rest, magnitude=True)
+            assert abs(edge - ref) <= self.REL_TOL * abs(l1)
+        assert edges[2] == edges[3]
+
+    def test_height_past_guard_raises(self):
+        # scale * y1 = 800 passes the exp() guard of 700
+        f = FunctionSource.sinc_product(2, scale=100.0)
+        q = QuadratureSpec(half_width=4.0, points_per_axis=64)
+        with pytest.raises(EvaluationRangeError):
+            top_edge_decay_check(f, sigma=150.0, eta=0.5, half_width=4.0,
+                                 y1_values=(1.0, 8.0), quad=q, rest_points=4,
+                                 norm_value=1.0)
+        with pytest.raises(EvaluationRangeError):
+            contour_decomposition(f, sigma=150.0, eta=0.5, half_width=4.0, y1=8.0,
+                                  quad=q, side_points=64, rest_points=4)
+
+
+class TestEdgeMemory:
+    # edges are one-axis line sums, so no buffer grows with the edge grid:
+    # 4096 x 64 x 64 (16.8 million nodes) and a 2^20-node line.  Bound fixed
+    # beforehand at 8 MB, the sinc scan's
+    @pytest.mark.parametrize("kind", ["poly", "sinc"])
+    @pytest.mark.parametrize("dim,points,rest", [(3, 4096, 64), (1, 1 << 20, 1)])
+    def test_contour_and_top_edge_memory(self, kind, dim, points, rest):
+        if kind == "poly":
+            p = generate_polynomial(seed=11, dim=dim, n_terms=5, radius=2.0, min_gap=0.5)
+            f, sigma = FunctionSource.from_poly(p), exact_type(p)
+        else:
+            f = FunctionSource.sinc_product(dim, scale=0.8, amplitude=1.5)
+            sigma = 0.8 * math.sqrt(dim)
+        q = QuadratureSpec(half_width=50.0, points_per_axis=points)
+        tracemalloc.start()
+        try:
+            contour_decomposition(f, sigma=sigma, eta=0.5, half_width=50.0, y1=1.0, quad=q,
+                                  side_points=points, rest_points=rest)
+            top_edge_decay_check(f, sigma=sigma, eta=0.5, half_width=50.0,
+                                 y1_values=(1.0, 2.0, 4.0, 8.0), quad=q, rest_points=rest,
+                                 norm_value=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
 
 
 class TestTopEdgeDecay:
