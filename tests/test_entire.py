@@ -275,10 +275,13 @@ class TestTypeFitRoute:
     def test_one_evaluation_matches_per_radius_loop(self, source):
         assert type_fit_bits(estimate_type, source) == type_fit_bits(ref_estimate_type, source)
 
-    @pytest.mark.parametrize("dim,scale", [(2, 30.0), (4, 30.0), (4, 10.0)])
+    @pytest.mark.parametrize("dim,scale", [(2, 30.0), (4, 30.0), (4, 10.0), (2, 20.0),
+                                           (3, 20.0), (3, 30.0), (4, 20.0), (5, 10.0),
+                                           (5, 30.0)])
     def test_sinc_product_overflow_drops_the_radius(self, dim, scale):
         # each factor stays inside the guard, but at the larger radii their
-        # product overflows to inf; those radii are dropped, not fitted
+        # product overflows to inf; those radii are dropped, not fitted.
+        # From 1 of the 8 radii dropped at (4, 10) to 6 at scale 30 in 3 to 5 variables
         f = FunctionSource.sinc_product(dim, scale=scale)
         est = estimate_type(f)
         assert math.isfinite(est.sigma_hat) and math.isfinite(est.log_c0_hat)

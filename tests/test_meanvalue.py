@@ -279,8 +279,9 @@ def pointwise_coefficient(source, lam, T, points):
 
 
 # 100003 is prime and longer than REDUCE_BLOCK, so its coarse x fine split
-# leaves a partial row and the pointwise walk spans two blocks
-REFERENCE_GRIDS = [(1, 100003), (1, 4096), (1, 2), (1, 3), (2, 300), (3, 41)]
+# leaves a partial row and the pointwise walk spans two blocks; (2, 3) and
+# (3, 2) are the smallest grids whose rest axes are factors of their own
+REFERENCE_GRIDS = [(1, 100003), (1, 4096), (1, 2), (1, 3), (2, 300), (3, 41), (2, 3), (3, 2)]
 
 
 class TestGridCoefficientRoutes:
@@ -312,7 +313,7 @@ class TestGridCoefficientRoutes:
 
     @pytest.mark.parametrize("dim,points,T", [(1, 100003, 50.0), (1, 4096, 50.0),
                                               (1, 2, 0.5), (1, 3, 0.5), (2, 300, 10.0),
-                                              (3, 41, 5.0)])
+                                              (3, 41, 5.0), (2, 3, 0.5), (3, 2, 0.5)])
     def test_sinc_scan_matches_pointwise_walk(self, dim, points, T):
         # T is small enough on coarse grids that the cross-talk floor leaves
         # some candidates detectable

@@ -1,5 +1,6 @@
 """Midpoint grids, compensated summation, and the evaluation budget."""
 
+import dataclasses
 import math
 import os
 
@@ -35,6 +36,13 @@ class TestSpecs:
             QuadratureSpec(half_width=0.0, points_per_axis=10)
         with pytest.raises(PreconditionError):
             QuadratureSpec(half_width=1.0, points_per_axis=1)
+
+    def test_quadrature_spec_takes_no_summation_policy(self):
+        # compensated summation is the one policy: the spec holds the grid only
+        assert [f.name for f in dataclasses.fields(QuadratureSpec)] == ["half_width",
+                                                                        "points_per_axis"]
+        with pytest.raises(TypeError):
+            QuadratureSpec(half_width=1.0, points_per_axis=10, summation="naive")
 
     def test_ladder_doubles_half_widths(self):
         lad = LadderSpec(base=50.0, levels=4, tail_levels=2)
@@ -192,15 +200,42 @@ class TestLineSums:
             bound = 4 * np.finfo(float).eps * (1 + math.log2(n)) * float(np.sum(np.abs(values[j])))
             assert abs(sums[j] - ref) <= bound
 
+    @pytest.mark.parametrize("n_rows", [1, 16, 17, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096, REDUCE_BLOCK, REDUCE_BLOCK + 1, 100003,
+                                   2 * REDUCE_BLOCK + 1])
+    def test_row_groups_at_block_boundaries(self, n, n_rows):
+        # a group holds REDUCE_BLOCK // n rows: every row at n <= 3, 16 rows
+        # of 4096 (so 16 rows fill one group, 17 and 40 spill into more) and
+        # one row per group from REDUCE_BLOCK nodes on, where the one-axis
+        # walk spans one, two or three blocks.  Each row's sum is bitwise its
+        # one-row call; against a long-double sum of the same node values the
+        # bound is fixed beforehand at 4 eps (1 + log2 n) sum |v|
+        rng = np.random.default_rng(n + n_rows)
+        rows = rng.uniform(-0.3, 0.3, n_rows) + 1j * rng.uniform(-4.0, 4.0, n_rows)
+        axis = (-5.0, 7.0, n)
+        sums = line_sums(damped_waves, rows, axis)
+        assert sums.shape == (n_rows,)
+        values = np.exp(np.outer(rows, midpoint_nodes(*axis)))
+        ref_re = np.sum(values.real.astype(np.longdouble), axis=1)
+        ref_im = np.sum(values.imag.astype(np.longdouble), axis=1)
+        bound = 4 * np.finfo(float).eps * (1 + math.log2(n)) * np.sum(np.abs(values), axis=1)
+        for j in range(n_rows):
+            assert sums[j].tobytes() == line_sums(damped_waves, rows[j:j + 1], axis)[0].tobytes()
+            err = np.hypot(float(np.longdouble(sums[j].real) - ref_re[j]),
+                           float(np.longdouble(sums[j].imag) - ref_im[j]))
+            assert err <= bound[j]
+
 
 class TestExpAxisSums:
     @pytest.mark.parametrize("kind", ["imaginary", "real", "mixed"])
-    @pytest.mark.parametrize("lo,hi", [(-50.0, 50.0), (0.0, 4.0)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65537, 100003])
+    @pytest.mark.parametrize("lo,hi", [(-50.0, 50.0), (0.0, 4.0), (-7.0, 3.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65536, 65537, 100003, 131073])
     def test_matches_direct_sum_over_midpoints(self, n, lo, hi, kind):
         # coarse x fine split against exp() at every midpoint.  3, 17, 101,
-        # 65537 and 100003 leave a partial last row; the direct sums over
-        # 65537 and 100003 nodes span two REDUCE_BLOCK blocks
+        # 65537, 100003 and 131073 leave a partial last row, while 65536 is
+        # 256 full rows of one REDUCE_BLOCK block; the direct sums over 65537
+        # and 100003 nodes span two blocks and over 131073 nodes three.
+        # (-7, 3) is off-centre with lo != 0, so the row origins carry lo
         rng = np.random.default_rng(n)
         reach = max(abs(lo), abs(hi))
         a = np.zeros(7, dtype=np.complex128)

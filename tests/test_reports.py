@@ -241,6 +241,14 @@ class TestVerificationRecords:
         # must survive strict canonical serialization (max_violation is -inf here)
         json.loads(dumps_canonical(doc))
 
+    def test_quadrature_record_names_the_one_policy(self, report):
+        # the spec no longer carries a summation field; the record keeps the
+        # key, so reports render byte for byte as before the knob went
+        doc = verification_to_dict(report)["spectrum"]["quadrature"]
+        quad = report.spectrum.quadrature
+        assert doc == {"half_width": quad.half_width, "points_per_axis": quad.points_per_axis,
+                       "summation": "compensated"}
+
     def test_summary_rows(self, report):
         rows = verification_summary_rows(report)
         assert rows[0][0] == "containment"

@@ -1,5 +1,6 @@
 """Strip integral bound, contour closure, edge decay, and the full verdict."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -434,37 +435,44 @@ class TestSincEdges:
     HEIGHTS = (0.0, 1.0, 2.0, 2.0, 4.0)
     REL_TOL = 1e-13
 
+    # (x1 nodes, side nodes, rest nodes): even counts keep every node off
+    # x = 0; odd ones put a node on the removable point of each sinc factor
+    GRIDS = [(512, 256, 8), (17, 9, 5)]
+
+    @pytest.mark.parametrize("x1_points,side_points,rest_points", GRIDS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("y1", [0.5, 2.0])
-    def test_edges_match_pointwise_walk(self, dim, y1):
+    def test_edges_match_pointwise_walk(self, dim, y1, x1_points, side_points, rest_points):
         T = self.T_BY_DIM[dim]
-        rest = 8 if dim > 1 else 1
+        rest = rest_points if dim > 1 else 1
         for scale, amplitude, sigma in ((0.5, 1.0, 1.2), (1.7, 0.6 - 0.8j, 0.3)):
             f = FunctionSource.sinc_product(dim, scale=scale, amplitude=amplitude)
             eta = 0.5
             omega = sigma + eta
-            q = QuadratureSpec(half_width=T, points_per_axis=512)
+            q = QuadratureSpec(half_width=T, points_per_axis=x1_points)
             d = contour_decomposition(f, sigma=sigma, eta=eta, half_width=T, y1=y1,
-                                      quad=q, side_points=256, rest_points=rest)
-            bottom, top = reference_edges(f, omega, T, y1, 512, rest)
-            l1_bottom, l1_top = reference_edges(f, omega, T, y1, 512, rest, magnitude=True)
+                                      quad=q, side_points=side_points, rest_points=rest)
+            bottom, top = reference_edges(f, omega, T, y1, x1_points, rest)
+            l1_bottom, l1_top = reference_edges(f, omega, T, y1, x1_points, rest, magnitude=True)
             assert abs(d.real_axis - bottom) <= self.REL_TOL * abs(l1_bottom)
             assert abs(d.top_edge - top) <= self.REL_TOL * abs(l1_top)
             for edge, sign in ((d.left_edge, -1.0), (d.right_edge, +1.0)):
-                ref = reference_side(f, omega, T, y1, 256, rest, sign)
-                l1 = abs(reference_side(f, omega, T, y1, 256, rest, sign, magnitude=True))
+                ref = reference_side(f, omega, T, y1, side_points, rest, sign)
+                l1 = abs(reference_side(f, omega, T, y1, side_points, rest, sign,
+                                        magnitude=True))
                 assert abs(edge - ref) <= self.REL_TOL * l1
 
+    @pytest.mark.parametrize("x1_points,side_points,rest_points", GRIDS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_heights_match_pointwise_walk(self, dim):
+    def test_heights_match_pointwise_walk(self, dim, x1_points, side_points, rest_points):
         T = self.T_BY_DIM[dim]
-        rest = 8 if dim > 1 else 1
+        rest = rest_points if dim > 1 else 1
         f = FunctionSource.sinc_product(dim, scale=0.9, amplitude=1.5 + 0.5j)
         omega = 1.4
-        edges = _horizontal_edges(f, omega, T, self.HEIGHTS, 512, rest)
+        edges = _horizontal_edges(f, omega, T, self.HEIGHTS, x1_points, rest)
         for y1, edge in zip(self.HEIGHTS, edges):
-            _, ref = reference_edges(f, omega, T, y1, 512, rest)
-            _, l1 = reference_edges(f, omega, T, y1, 512, rest, magnitude=True)
+            _, ref = reference_edges(f, omega, T, y1, x1_points, rest)
+            _, l1 = reference_edges(f, omega, T, y1, x1_points, rest, magnitude=True)
             assert abs(edge - ref) <= self.REL_TOL * abs(l1)
         assert edges[2] == edges[3]
 
@@ -591,6 +599,12 @@ class TestVerifyConfig:
     def test_empty_ladders_rejected(self, name):
         with pytest.raises(PreconditionError, match=name):
             VerifyConfig(tol=0.1, **{name: ()})
+
+    def test_takes_no_summation_policy(self):
+        # compensated summation is the one policy; no config field selects it
+        assert "summation" not in {f.name for f in dataclasses.fields(VerifyConfig)}
+        with pytest.raises(TypeError):
+            VerifyConfig(tol=0.1, summation="naive")
 
 
 class TestVerify:
