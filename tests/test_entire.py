@@ -34,6 +34,7 @@ from apspec import (
 from apspec import entire, meanvalue
 from apspec.entire import (
     DEFAULT_RADII,
+    SQUARE_TERMS,
     UNIMODULAR_LOG_TOL,
     TypeEstimate,
     _direction_set,
@@ -421,7 +422,8 @@ def one_axis_points(dim):
 def grid_cases(draw):
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
-    source = random_source(rng, dim, draw(st.integers(1, 5)), draw(st.booleans()))
+    # polynomials of 2 .. SQUARE_TERMS terms take the |f|^2 route, others |f|
+    source = random_source(rng, dim, draw(st.integers(1, SQUARE_TERMS + 1)), draw(st.booleans()))
     n = draw(one_axis_points(dim))
     half_width = draw(st.floats(1.0, 50.0))
     if draw(st.booleans()):
@@ -451,6 +453,16 @@ HARD_CASES = [
 ]
 
 
+# both sides of the |f|^2 route's term-count switch, in 1..3 variables, with
+# and without the envelope weights
+SWITCH_CASES = [
+    (random_source(np.random.default_rng(60 + 10 * dim + k), dim, k, False),
+     [_linspace_axis(20.0, n)] * dim, power, block, 0.0)
+    for dim, n, block in ((1, 20001, REDUCE_BLOCK), (2, 150, 1000), (3, 30, 64))
+    for k in (SQUARE_TERMS, SQUARE_TERMS + 1) for power in (0, dim)
+]
+
+
 def with_hard_cases(test):
     for case in HARD_CASES:
         test = example(case)(test)
@@ -469,11 +481,20 @@ def assert_matches_reference(source, axes, power, best, index):
         assert index == ref_index
     else:
         assert ref[index] >= ref[ref_index] - 2 * tol
+    # the reported node's own pointwise value is the reported max
+    assert abs(ref[index] - best) <= tol
+
+
+def with_switch_cases(test):
+    for case in SWITCH_CASES:
+        test = example(case)(test)
+    return test
 
 
 class TestGridMaxKernel:
     @given(grid_cases())
     @with_hard_cases
+    @with_switch_cases
     @settings(max_examples=80, deadline=None)
     def test_matches_pointwise_reference(self, case):
         source, axes, power, block, _ = case
@@ -557,22 +578,46 @@ POISSON_CASES = [
 ]
 
 
+def poisson_walk_error(source, s, n_points):
+    """(|route - pointwise walk|, tolerance, both log peaks) at x0 = 0.3, T = 1e4 s."""
+    x0, t_half_width = 0.3, 1e4 * s
+    integral, log_peak = _weighted_log_integral(source, x0, s, t_half_width, n_points)
+    ref_integral, ref_peak, condition = ref_weighted_log_integral(
+        source, x0, s, t_half_width, n_points)
+    c, lam = source_scale(source)
+    # the routes round phases up to (T + |x0|) max|lam| apart, an error of
+    # eps (T + |x0|) max|lam| l1(c) in g, which log|g| magnifies by 1/|g|;
+    # the blocks are also summed in another order
+    tol = EPS * ((t_half_width + abs(x0)) * lam * c * condition
+                 + math.log2(n_points) * ref_peak)
+    return abs(integral - ref_integral), tol, log_peak, ref_peak
+
+
 class TestPoissonIntegralRoute:
     @pytest.mark.parametrize("name,source", POISSON_CASES, ids=[c[0] for c in POISSON_CASES])
     @pytest.mark.parametrize("s,n_points", [(0.5, 400000), (2.0, 400000), (1.0, 99991)])
     def test_matches_pointwise_walk(self, name, source, s, n_points):
-        x0, t_half_width = 0.3, 1e4 * s
-        integral, log_peak = _weighted_log_integral(source, x0, s, t_half_width, n_points)
-        ref_integral, ref_peak, condition = ref_weighted_log_integral(
-            source, x0, s, t_half_width, n_points)
-        c, lam = source_scale(source)
-        # the routes round phases up to (T + |x0|) max|lam| apart, an error of
-        # eps (T + |x0|) max|lam| l1(c) in g, which log|g| magnifies by 1/|g|;
-        # the blocks are also summed in another order
-        tol = EPS * ((t_half_width + abs(x0)) * lam * c * condition
-                     + math.log2(n_points) * ref_peak)
-        assert abs(integral - ref_integral) <= tol
+        error, tol, log_peak, ref_peak = poisson_walk_error(source, s, n_points)
+        assert error <= tol
         assert (log_peak < UNIMODULAR_LOG_TOL) == (ref_peak < UNIMODULAR_LOG_TOL)
+
+    def test_nodes_near_a_zero_need_the_complex_tables(self, monkeypatch):
+        # with only non-positive squares recomputed, |g|^2's absolute rounding
+        # ~eps T |d| sum |c_m|^2 next to the cosine's zero breaks the tolerance
+        source = dict(POISSON_CASES)["cosine-near-zero"]
+        monkeypatch.setattr(entire, "LOW_SQUARE_TOL", 0.0)
+        error, tol, _, _ = poisson_walk_error(source, 2.0, 400000)
+        assert error > tol
+
+    def test_vanishing_polynomial_matches_the_abs_route(self, monkeypatch):
+        # sum |c_m|^2 = 0: every node takes the clamped log from the term
+        # tables, so the |g|^2 route gives the |g| route's figures exactly
+        source = FunctionSource.from_poly(TrigPolynomial(
+            dim=1, freqs=np.array([[0.5], [1.0]]), coeffs=np.zeros(2, dtype=complex)))
+        squared = _weighted_log_integral(source, 0.3, 1.0, 1e4, 99991)
+        monkeypatch.setattr(entire, "SQUARE_TERMS", 1)
+        assert squared == _weighted_log_integral(source, 0.3, 1.0, 1e4, 99991)
+        assert math.isfinite(squared[0])
 
     def test_unimodular_sources_keep_zero_tail(self):
         for source in (single_exp([0.9]), line_slice(single_exp([0.7, -1.1]), [2.0])):
@@ -595,6 +640,14 @@ class TestPointBudget:
         with pytest.raises(BudgetExceededError):
             phragmen_lindelof_check(g, x=0.0, y=1.0, sup_points=10 ** 12)
 
+    def test_net_check_refuses_before_walking_either_grid(self, monkeypatch):
+        # the 6-node net fits the budget and the 2001-node dense line does not
+        monkeypatch.setenv(BUDGET_ENV_VAR, "1000")
+        monkeypatch.setattr(entire, "_grid_max", mock.Mock(side_effect=AssertionError("walked")))
+        with pytest.raises(BudgetExceededError):
+            logvinenko_check(FunctionSource.cosine([1.0]), sigma=1.0, delta=0.1,
+                             half_width=0.5, dense_per_axis=2001)
+
 
 def traced_peak(fn):
     tracemalloc.start()
@@ -606,9 +659,15 @@ def traced_peak(fn):
 
 
 class TestMajorantMemory:
-    @pytest.mark.parametrize("source", [FunctionSource.sinc_product(3, scale=0.7),
-                                        FunctionSource.cosine([0.6, 0.8, 0.2])],
-                             ids=["sinc", "cosine"])
+    @pytest.mark.parametrize("source", [
+        FunctionSource.sinc_product(3, scale=0.7),
+        FunctionSource.cosine([0.6, 0.8, 0.2]),
+        # the |f|^2 route at its largest term count, and |f| just past it
+        FunctionSource.from_poly(generate_polynomial(
+            seed=8803, dim=3, n_terms=SQUARE_TERMS, radius=3.0, min_gap=0.5)),
+        FunctionSource.from_poly(generate_polynomial(
+            seed=8803, dim=3, n_terms=SQUARE_TERMS + 1, radius=3.0, min_gap=0.5)),
+    ], ids=["sinc", "cosine", "square-K", "abs-K+1"])
     def test_three_dim_net_check_near_budget(self, source):
         # dense grid 461^3 = 9.8e7 points, just under the 10^8 budget
         peak = traced_peak(lambda: logvinenko_check(
@@ -640,5 +699,12 @@ class TestMajorantMemory:
     def test_two_dim_polynomial_envelope(self):
         f = FunctionSource.from_poly(generate_polynomial(
             seed=8800, dim=2, n_terms=4, radius=2.0, min_gap=0.5))
+        peak = traced_peak(lambda: growth_envelope_check(f, half_width=20.0, points_per_axis=2001))
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize("n_terms", [SQUARE_TERMS, SQUARE_TERMS + 1], ids=["square-K", "abs-K+1"])
+    def test_two_dim_envelope_either_side_of_the_square_switch(self, n_terms):
+        f = FunctionSource.from_poly(generate_polynomial(
+            seed=8800, dim=2, n_terms=n_terms, radius=3.0, min_gap=0.5))
         peak = traced_peak(lambda: growth_envelope_check(f, half_width=20.0, points_per_axis=2001))
         assert peak < 8 << 20

@@ -23,6 +23,7 @@ from apspec.quadrature import (
     line_sums,
     midpoint_nodes,
     point_budget,
+    ramp,
     reduce_in_blocks,
     split_axis,
     symmetric_axes,
@@ -79,6 +80,33 @@ class TestSummation:
     def test_reduce_in_blocks_sums_small_partials(self):
         parts = np.arange(10.0)
         assert reduce_in_blocks(parts) == pytest.approx(45.0)
+
+    @pytest.mark.parametrize("partial", [
+        0.0, -0.0, 1.5, -2.25, 5e-324, -5e-324, 1.797e308, complex(0.0, -0.0),
+        complex(-0.0, -0.0), complex(-0.0, 0.0), 1 + 2j, np.float64(-0.0), np.float64(3.5),
+        np.complex128(complex(-0.0, -0.0)), np.array(-0.0), np.array([0.0, -0.0, 1.0, -5e-324]),
+        np.array([complex(-0.0, -0.0), 1j, -1 + 0j]),
+    ], ids=repr)
+    def test_one_partial_is_the_accumulator_result_byte_for_byte(self, partial):
+        acc = KahanAccumulator(zero=partial * 0)
+        acc.add(partial)
+        got, want = reduce_in_blocks([partial]), acc.total
+        assert type(got) is type(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if isinstance(partial, np.ndarray) and partial.ndim:
+            assert got is not partial
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9, REDUCE_BLOCK - 1, REDUCE_BLOCK, REDUCE_BLOCK + 1])
+    def test_ramp_fills_exact_integers(self, n):
+        out = np.full(n, np.nan)
+        assert ramp(out) is out
+        assert out.tobytes() == np.arange(1.0, n + 1.0).tobytes()
+
+    def test_one_infinite_partial_stays_infinite(self):
+        # the accumulator's zero, inf * 0, is nan; a lone partial is the sum
+        assert reduce_in_blocks([math.inf]) == math.inf
+        assert np.array_equal(reduce_in_blocks([np.array([-np.inf, 1.0])]), [-np.inf, 1.0])
 
 
 class TestTensorRoutines:
