@@ -4,7 +4,7 @@ Every check is reported as an InequalityCheck record carrying both sides,
 the signed margin, and the tolerance that was in force, so a report reader
 can re-derive the verdict.  Suprema over R^p are desk-scale surrogates:
 they are maxima over finite boxes whose parameters are embedded in the
-context string.  Few-term polynomials take maxima and logs from |g|^2.
+context string.  Polynomials of two or more terms take maxima and logs from |g|^2.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from .core import (
     sinc,
 )
 from .errors import DimensionMismatchError, PreconditionError
-from .meanvalue import poly_abs_blocks, poly_square_blocks, sinc_line
+from .meanvalue import poly_square_blocks, sinc_line
 from .quadrature import (
     REDUCE_BLOCK,
     Axis,
     KahanAccumulator,
+    check_budget,
     grid_points,
     midpoint_nodes,
     ramp,
@@ -50,9 +51,6 @@ UNIMODULAR_LOG_TOL = 1e-9
 
 _DIRECTION_SEED = 1815
 
-# 1 < k <= this terms take |f|^2; against |f| (2-vCPU VM) a 200001-node sup line is 1.65x as fast
-# at k = 5, 1.37x at 6, 0.88x at 7; 400000-node Poisson walk 1.14/1.05/0.93x; 1001^2 net 1.62x at 5
-SQUARE_TERMS = 5
 # Poisson nodes with |g|^2 <= this * sum |c_m|^2 take log|g| from the term tables: at 0 a route test
 # fails (8.5x its tolerance), 1e-10 .. 1e-2 pass all 33; workload integrals within 2.8e-15 of |g|'s
 LOW_SQUARE_TOL = 1e-4
@@ -175,7 +173,7 @@ def _linspace_axis(half_width: float, n: int) -> Axis:
 def _block_max(fn, axes, power: int) -> tuple[float, int]:
     """Max of fn's grid values / prod_j (1 + |x_j|)^power, and its first flat index.
 
-    fn gives the values as poly_abs_blocks does; (0.0, 0) if none is positive.
+    fn gives the values as _row_products does; (0.0, 0) if none is positive.
     """
     shape = [int(n) for (_, _, n) in axes]
     total = math.prod(shape)
@@ -217,15 +215,13 @@ def _grid_max(source: FunctionSource, axes, power: int = 0) -> tuple[float, int]
     Returns the max and its first flat index in C order (0 when f vanishes
     on the grid).  Sinc products and one-term polynomials factor into
     non-negative per-axis factors, so the max is |A| times one per-axis max
-    per distinct axis; other polynomials reduce poly_square_blocks or poly_abs_blocks.
+    per distinct axis; other polynomials reduce |f|^2 from poly_square_blocks.
     """
     shape = [int(n) for (_, _, n) in axes]
     grid_points(shape)
-    if source.kind == POLY and 1 < source.poly.n_terms <= SQUARE_TERMS:
+    if source.kind == POLY and source.poly.n_terms > 1:
         best, index = _block_max(poly_square_blocks(source.poly, axes, REDUCE_BLOCK), axes, 2 * power)
         return math.sqrt(best), index
-    if source.kind == POLY and source.poly.n_terms > 1:
-        return _block_max(poly_abs_blocks(source.poly, [axes], block=REDUCE_BLOCK)[0], axes, power)
     if source.kind == POLY:
         amp = abs(source.poly.coeffs[0])
         maxima = {axis: _block_max(lambda start, stop: np.broadcast_to(1.0, stop - start),
@@ -258,7 +254,8 @@ def logvinenko_check(source: FunctionSource, sigma: float, delta: float,
     p = source.dim
     spacing = 2.0 * delta / math.sqrt(p)
     steps = int(math.ceil(2.0 * half_width / spacing))
-    grid_points([max(steps + 1, dense_per_axis)] * p)  # both grids, before either is walked
+    check_budget((steps + 1) ** p)
+    check_budget(dense_per_axis ** p)
     net_max, _ = _grid_max(source, [_lattice_axis(-half_width, spacing, steps + 1)] * p)
     dense_max, _ = _grid_max(source, [_linspace_axis(half_width, dense_per_axis)] * p)
     factor = 1.0 / (1.0 - product)
@@ -271,23 +268,21 @@ def _weighted_log_integral(source: FunctionSource, x0: float, s: float,
                            t_half_width: float, n_points: int) -> tuple[float, float]:
     """Truncated Poisson integral of log|g| and the largest |log| sample.
 
-    |g(x0 + t)| comes from sinc_line, a constant or poly_abs_blocks (log|g|^2 from
-    poly_square_blocks, halved at the end, for 2 .. SQUARE_TERMS terms); each
+    |g(x0 + t)| comes from sinc_line or a constant, and log|g|^2 of a polynomial
+    from poly_square_blocks, halved at the end; each
     block's clamped log, t and sum of log / (t^2 + s^2) go through buffers
     made once per call, and the block sums are added with compensation.
     """
     h = 2.0 * t_half_width / n_points
     block = min(REDUCE_BLOCK, n_points)
     axes = [(x0 - t_half_width, x0 + t_half_width, n_points)]
-    half = 0.5 if source.kind == POLY and 1 < source.poly.n_terms <= SQUARE_TERMS else 1.0
+    half = 0.5 if source.kind == POLY and source.poly.n_terms > 1 else 1.0
     if half < 1.0:  # logs of |g|^2
         values = poly_square_blocks(source.poly, axes, block, low=LOW_SQUARE_TOL)
     elif source.kind != POLY:
         values = sinc_line(source.scale, axes[0], amp=abs(source.amplitude), block=block)
-    elif source.poly.n_terms == 1:
-        values = lambda start, stop: np.broadcast_to(abs(source.poly.coeffs[0]), stop - start)
     else:
-        values = poly_abs_blocks(source.poly, [axes], block=block)[0]
+        values = lambda start, stop: np.broadcast_to(abs(source.poly.coeffs[0]), stop - start)
     offsets, logs, weight = np.empty((3, block))  # one allocation, as in _row_products
     np.multiply(ramp(offsets), h, out=offsets)
     acc = KahanAccumulator()

@@ -208,6 +208,19 @@ def sinc_line(a: float, axis: Axis, s: float = 0.0, amp: float = 1.0,
     return _row_products([lead[None]], last[None], int(n), block, finish)[0]
 
 
+def _term_tables(freqs: np.ndarray, weights: np.ndarray, grids):
+    """Tables e^{i x_j f_mj} of the leading axes for all grids (weights in the first), and
+    the last axis' nodes per grid; one variable is split by split_axis, both parts against f_m1."""
+    if len(grids[0]) == 1:
+        _, *row_nodes, col_nodes = zip(*[split_axis(axes[0]) for axes in grids])
+    else:
+        nodes = {axis: midpoint_nodes(*axis) for axis in set().union(*grids)}
+        *row_nodes, col_nodes = zip(*[[nodes[axis] for axis in axes] for axes in grids])
+    tables = [_cis(np.array(x)[:, :, None], freqs[:, j]) for j, x in enumerate(row_nodes)]
+    tables[0] *= weights
+    return tables, np.array(col_nodes)
+
+
 def poly_abs_blocks(poly: TrigPolynomial, grids, s: float = 0.0, block: int = REDUCE_BLOCK):
     """|f(x1 + is, x')| on grids (lists of axes) of one shape, as _row_products gives it.
 
@@ -218,14 +231,8 @@ def poly_abs_blocks(poly: TrigPolynomial, grids, s: float = 0.0, block: int = RE
     total = math.prod(int(n) for (_, _, n) in grids[0])
     damp = s * poly.freqs[:, 0]
     guard_term_exponents(damp)
-    if len(grids[0]) == 1:
-        _, *row_nodes, col_nodes = zip(*[split_axis(axes[0]) for axes in grids])
-    else:
-        nodes = {axis: midpoint_nodes(*axis) for axis in set().union(*grids)}
-        *row_nodes, col_nodes = zip(*[[nodes[axis] for axis in axes] for axes in grids])
-    tables = [_cis(np.array(x)[:, :, None], poly.freqs[:, j]) for j, x in enumerate(row_nodes)]
-    tables[0] *= poly.coeffs * np.exp(-damp)
-    last = _cis(poly.freqs[:, -1, None], np.array(col_nodes)[:, None, :])
+    tables, cols = _term_tables(poly.freqs, poly.coeffs * np.exp(-damp), grids)
+    last = _cis(poly.freqs[:, -1, None], cols[:, None, :])
     return _row_products(tables, last, total, min(block, total),
                          lambda values, pos, out: np.abs(values, out=out))
 
@@ -241,16 +248,14 @@ def poly_square_blocks(poly: TrigPolynomial, axes, block: int = REDUCE_BLOCK,
     as (Re, Im) times Last rows (cos, -sin)(d_p x_p).  Its error ~eps |d| |x| S swamps |f|^2 near a
     zero, so with a float low out is log|f|^2, and nodes with |f|^2 <= low S take |f| from terms."""
     i, j = _pairs(poly.n_terms)
-    *rows, cols = nodes = [*split_axis(axes[0])[1:]] if len(axes) == 1 else [midpoint_nodes(*a) for a in axes]
     d = poly.freqs[i] - poly.freqs[j]
-    tables = [_cis(x[None, :, None], d[:, a]) for a, x in enumerate(rows)]
-    tables[0] *= 2.0 * poly.coeffs[i] * poly.coeffs[j].conj()
-    phase = np.multiply.outer(d[:, -1], -cols)
+    tables, cols = _term_tables(d, 2.0 * poly.coeffs[i] * poly.coeffs[j].conj(), [axes])
+    phase = np.multiply.outer(d[:, -1], -cols[0])
     last = np.concatenate([np.cos(phase), np.sin(phase)], axis=1).reshape(1, 2 * len(i), -1)
     norm = float(np.vdot(poly.coeffs, poly.coeffs).real)
-    terms = [] if low is None else [  # c_m e^{i lam_m x}; a split line's two tables share lam_m1
-        _cis(x[:, None], poly.freqs[:, min(a, poly.dim - 1)]) * (1.0 if a else poly.coeffs)
-        for a, x in enumerate(nodes)]
+    if low is not None:  # c_m e^{i lam_m x} per axis, as poly_abs_blocks' tables
+        terms, cols = _term_tables(poly.freqs, poly.coeffs, [axes])
+        terms = [t[0] for t in terms] + [_cis(cols[0][:, None], poly.freqs[:, -1])]
 
     def finish(values: np.ndarray, pos: int, out: np.ndarray):
         np.add(values, norm, out=out)
@@ -259,7 +264,7 @@ def poly_square_blocks(poly: TrigPolynomial, axes, block: int = REDUCE_BLOCK,
             out[near] = 1.0
             np.log(out, out=out)
             if near.size:
-                ix = np.unravel_index(near + pos, [len(x) for x in nodes])
+                ix = np.unravel_index(near + pos, [len(t) for t in terms])
                 g = np.abs(np.add.reduce(math.prod(t[r] for t, r in zip(terms, ix)), axis=1))
                 out[near] = 2.0 * np.log(np.maximum(g, 1e-300))
 

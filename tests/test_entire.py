@@ -34,7 +34,6 @@ from apspec import (
 from apspec import entire, meanvalue
 from apspec.entire import (
     DEFAULT_RADII,
-    SQUARE_TERMS,
     UNIMODULAR_LOG_TOL,
     TypeEstimate,
     _direction_set,
@@ -44,6 +43,7 @@ from apspec.entire import (
     _weighted_log_integral,
     make_check,
 )
+from apspec.generate import MAX_TERMS
 from apspec.meanvalue import abs_grid_sum, sinc_line
 from apspec.quadrature import (
     BUDGET_ENV_VAR,
@@ -422,8 +422,8 @@ def one_axis_points(dim):
 def grid_cases(draw):
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
-    # polynomials of 2 .. SQUARE_TERMS terms take the |f|^2 route, others |f|
-    source = random_source(rng, dim, draw(st.integers(1, SQUARE_TERMS + 1)), draw(st.booleans()))
+    # polynomials of two or more terms take the |f|^2 route, one term the per-axis one
+    source = random_source(rng, dim, draw(st.integers(1, 6)), draw(st.booleans()))
     n = draw(one_axis_points(dim))
     half_width = draw(st.floats(1.0, 50.0))
     if draw(st.booleans()):
@@ -453,13 +453,13 @@ HARD_CASES = [
 ]
 
 
-# both sides of the |f|^2 route's term-count switch, in 1..3 variables, with
-# and without the envelope weights
-SWITCH_CASES = [
+# the |f|^2 route's widest pair tables: 5 terms and the generator's most, in
+# 1..3 variables, with and without the envelope weights
+WIDE_CASES = [
     (random_source(np.random.default_rng(60 + 10 * dim + k), dim, k, False),
      [_linspace_axis(20.0, n)] * dim, power, block, 0.0)
     for dim, n, block in ((1, 20001, REDUCE_BLOCK), (2, 150, 1000), (3, 30, 64))
-    for k in (SQUARE_TERMS, SQUARE_TERMS + 1) for power in (0, dim)
+    for k in (5, MAX_TERMS) for power in (0, dim)
 ]
 
 
@@ -485,8 +485,8 @@ def assert_matches_reference(source, axes, power, best, index):
     assert abs(ref[index] - best) <= tol
 
 
-def with_switch_cases(test):
-    for case in SWITCH_CASES:
+def with_wide_cases(test):
+    for case in WIDE_CASES:
         test = example(case)(test)
     return test
 
@@ -494,7 +494,7 @@ def with_switch_cases(test):
 class TestGridMaxKernel:
     @given(grid_cases())
     @with_hard_cases
-    @with_switch_cases
+    @with_wide_cases
     @settings(max_examples=80, deadline=None)
     def test_matches_pointwise_reference(self, case):
         source, axes, power, block, _ = case
@@ -609,15 +609,14 @@ class TestPoissonIntegralRoute:
         error, tol, _, _ = poisson_walk_error(source, 2.0, 400000)
         assert error > tol
 
-    def test_vanishing_polynomial_matches_the_abs_route(self, monkeypatch):
-        # sum |c_m|^2 = 0: every node takes the clamped log from the term
-        # tables, so the |g|^2 route gives the |g| route's figures exactly
+    def test_vanishing_polynomial_matches_the_pointwise_walk(self):
+        # sum |c_m|^2 = 0: every node takes the clamped log from the term tables
         source = FunctionSource.from_poly(TrigPolynomial(
             dim=1, freqs=np.array([[0.5], [1.0]]), coeffs=np.zeros(2, dtype=complex)))
-        squared = _weighted_log_integral(source, 0.3, 1.0, 1e4, 99991)
-        monkeypatch.setattr(entire, "SQUARE_TERMS", 1)
-        assert squared == _weighted_log_integral(source, 0.3, 1.0, 1e4, 99991)
-        assert math.isfinite(squared[0])
+        integral, log_peak = _weighted_log_integral(source, 0.3, 1.0, 1e4, 99991)
+        ref_integral, ref_peak, _ = ref_weighted_log_integral(source, 0.3, 1.0, 1e4, 99991)
+        assert log_peak == ref_peak == -math.log(1e-300)
+        assert integral == pytest.approx(ref_integral, rel=1e-12)
 
     def test_unimodular_sources_keep_zero_tail(self):
         for source in (single_exp([0.9]), line_slice(single_exp([0.7, -1.1]), [2.0])):
@@ -662,12 +661,10 @@ class TestMajorantMemory:
     @pytest.mark.parametrize("source", [
         FunctionSource.sinc_product(3, scale=0.7),
         FunctionSource.cosine([0.6, 0.8, 0.2]),
-        # the |f|^2 route at its largest term count, and |f| just past it
+        # the |f|^2 route's tables over 10 pairs of terms
         FunctionSource.from_poly(generate_polynomial(
-            seed=8803, dim=3, n_terms=SQUARE_TERMS, radius=3.0, min_gap=0.5)),
-        FunctionSource.from_poly(generate_polynomial(
-            seed=8803, dim=3, n_terms=SQUARE_TERMS + 1, radius=3.0, min_gap=0.5)),
-    ], ids=["sinc", "cosine", "square-K", "abs-K+1"])
+            seed=8803, dim=3, n_terms=5, radius=3.0, min_gap=0.5)),
+    ], ids=["sinc", "cosine", "poly5"])
     def test_three_dim_net_check_near_budget(self, source):
         # dense grid 461^3 = 9.8e7 points, just under the 10^8 budget
         peak = traced_peak(lambda: logvinenko_check(
@@ -702,9 +699,8 @@ class TestMajorantMemory:
         peak = traced_peak(lambda: growth_envelope_check(f, half_width=20.0, points_per_axis=2001))
         assert peak < 8 << 20
 
-    @pytest.mark.parametrize("n_terms", [SQUARE_TERMS, SQUARE_TERMS + 1], ids=["square-K", "abs-K+1"])
-    def test_two_dim_envelope_either_side_of_the_square_switch(self, n_terms):
+    def test_two_dim_five_term_envelope(self):
         f = FunctionSource.from_poly(generate_polynomial(
-            seed=8800, dim=2, n_terms=n_terms, radius=3.0, min_gap=0.5))
+            seed=8800, dim=2, n_terms=5, radius=3.0, min_gap=0.5))
         peak = traced_peak(lambda: growth_envelope_check(f, half_width=20.0, points_per_axis=2001))
         assert peak < 8 << 20
