@@ -12,6 +12,8 @@ helpers for constants and cosines, which are themselves polynomials.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,6 +204,9 @@ class FunctionSource:
     def __post_init__(self):
         if self.kind not in (POLY, SINC_PRODUCT):
             raise PreconditionError("unknown function kind %r" % (self.kind,))
+        if not (math.isfinite(self.scale) and cmath.isfinite(self.amplitude)):
+            raise PreconditionError("scale and amplitude must be finite, got %r and %r"
+                                    % (self.scale, self.amplitude))
         if self.kind == POLY:
             if self.poly is None:
                 raise PreconditionError("poly sources need a TrigPolynomial")
@@ -256,8 +261,8 @@ def coefficient_l1_bound(source: FunctionSource) -> float:
     return abs(source.amplitude)
 
 
-def _as_points(x, dim: int) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=np.float64)
+def _as_points(x, dim: int, dtype=np.float64) -> tuple[np.ndarray, bool]:
+    pts = np.asarray(x, dtype=dtype)
     if pts.ndim == 1:
         if pts.shape[0] != dim:
             raise DimensionMismatchError("point has dim %d, expected %d" % (pts.shape[0], dim))
@@ -322,22 +327,7 @@ def eval_complex(source: FunctionSource, z) -> complex | np.ndarray:
     shape (n, p).  Raises EvaluationRangeError when any term's exponent
     magnitude would exceed the exp() overflow guard.
     """
-    if isinstance(z, ComplexPoint):
-        if z.dim != source.dim:
-            raise DimensionMismatchError("point has dim %d, expected %d" % (z.dim, source.dim))
-        zz = z.z[None, :]
-        single = True
-    else:
-        zz = np.asarray(z, dtype=np.complex128)
-        if zz.ndim == 1:
-            if zz.shape[0] != source.dim:
-                raise DimensionMismatchError("point has dim %d, expected %d" % (zz.shape[0], source.dim))
-            zz = zz[None, :]
-            single = True
-        elif zz.ndim == 2 and zz.shape[1] == source.dim:
-            single = False
-        else:
-            raise DimensionMismatchError("point batch has shape %r, expected (n, %d)" % (zz.shape, source.dim))
+    zz, single = _as_points(z.z if isinstance(z, ComplexPoint) else z, source.dim, np.complex128)
     if source.kind == POLY:
         out = _poly_values(source.poly, zz.real, zz.imag)
     else:

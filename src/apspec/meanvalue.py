@@ -39,7 +39,7 @@ from .quadrature import (
     Axis,
     LadderSpec,
     QuadratureSpec,
-    exp_axis_sums,
+    dirichlet_sums,
     grid_points,
     index_sum,
     line_sums,
@@ -334,9 +334,10 @@ def _grid_coefficients(source: FunctionSource, candidates: np.ndarray,
 
     Both source kinds factor over the axes, so each grid mean is a product
     of 1-D means over the shared axis: for a polynomial
-    sum_m c_m prod_j mean_i e^{i (lam_mj - lam_j) x_i}, for a sinc product
-    A prod_j mean_i sinc(a x_i) e^{-i lam_j x_i}.  The full grid is checked
-    against the point budget before anything is built.
+    sum_m c_m prod_j mean_i e^{i (lam_mj - lam_j) x_i}, each mean a Dirichlet
+    kernel in closed form, for a sinc product A prod_j mean_i sinc(a x_i)
+    e^{-i lam_j x_i}.  The full grid is checked against the point budget
+    before anything is built.
     """
     n = quad.points_per_axis
     grid_points([n] * source.dim)
@@ -344,7 +345,7 @@ def _grid_coefficients(source: FunctionSource, candidates: np.ndarray,
     if source.kind == POLY:
         poly = source.poly
         offsets = poly.freqs[None, :, :] - candidates[:, None, :]
-        means = exp_axis_sums(1j * offsets.ravel(), axis) / n
+        means = dirichlet_sums(offsets.ravel(), axis) / n
         return np.prod(means.reshape(offsets.shape), axis=2) @ poly.coeffs
 
     # one row per (candidate, axis) pair; rows hold -lam, so the phase of

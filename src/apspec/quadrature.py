@@ -6,8 +6,9 @@ index order with Kahan compensation, the one policy.  Because the partition
 depends only on the block size, serial and parallel schedules produce
 bitwise identical results; a parallel driver could evaluate blocks out of
 order and still combine partials in order.  Both source kinds factor over
-the coordinates, so the library sums one axis at a time (line_sums,
-exp_axis_sums); tensor_sum's whole-grid walk is the tests' reference.
+the coordinates, so the library sums one axis at a time (line_sums, or
+dirichlet_sums in closed form); tensor_sum's whole-grid walk is the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -245,29 +246,26 @@ def split_axis(axis: Axis) -> tuple[int, np.ndarray, np.ndarray]:
     return cols, origins, (np.arange(cols) + 0.5) * h
 
 
-def exp_axis_sums(a: np.ndarray, axis: Axis) -> np.ndarray:
-    """Plain sums sum_i e^{a_m x_i} over the midpoints x_i of one axis.
+def dirichlet_sums(u: np.ndarray, axis: Axis) -> np.ndarray:
+    """Plain sums sum_i e^{i u x_i} over the n midpoints x_i of one axis.
 
-    a is a vector of complex (or real) exponents; the axis (lo, hi, n) is
-    split into coarse x fine nodes by split_axis.  Each sum is (sum_b E_b)(sum_j F_j) over the full
-    coarse rows plus E_b sum_{j < r} F_j for the partial last row, so a term
-    costs about 2 sqrt(n) exponentials instead of n.  The partial sums go
-    through index_sum; callers check their full grid against the point
-    budget first.
+    u is real (a frequency offset) or complex (e^{a x} is u = -i a).  The sum
+    is the Dirichlet kernel e^{i u c} sin(n t) / sin(t), c the axis centre
+    and t = u h / 2.  Re t is reduced modulo pi first, by
+    sin(t + pi m) = (-1)^m sin(t), so that frequencies the grid aliases onto
+    0 keep their digits; t = 0 gives exactly n.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    cols, origins, offsets = split_axis(axis)
-    rows, rest = divmod(int(axis[2]), cols)
-    fine = np.exp(np.outer(a, offsets))
-
-    def fine_sum(count: int) -> np.ndarray:
-        return index_sum(lambda start, stop: fine[:, start:stop], count)
-
-    coarse = index_sum(lambda start, stop: np.exp(np.outer(a, origins[start:stop])), rows)
-    total = coarse * fine_sum(cols)
-    if rest:
-        total = total + np.exp(a * origins[rows]) * fine_sum(rest)
-    return total
+    lo, hi, n = axis
+    n = int(n)
+    u = np.asarray(u)
+    u = u.astype(np.complex128 if np.iscomplexobj(u) else np.float64)
+    t = u * ((hi - lo) / (2 * n))
+    m = np.round(t.real / np.pi)
+    t = t - m * np.pi
+    kernel = np.divide(np.sin(n * t), np.sin(t), out=np.full(t.shape, n, dtype=t.dtype), where=t != 0)
+    if n % 2 == 0:
+        kernel[np.mod(m, 2) == 1] *= -1.0
+    return kernel * np.exp(1j * u * ((lo + hi) / 2))
 
 
 def symmetric_axes(half_width: float, points_per_axis: int, dim: int) -> list[Axis]:

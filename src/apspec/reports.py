@@ -148,6 +148,13 @@ def load_poly_json(path: str) -> TrigPolynomial:
         return poly_from_dict(json.load(fh))
 
 
+def _builtin_float(spec: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise PreconditionError("bad number %r in builtin %r" % (text, spec)) from None
+
+
 def parse_source(spec: str) -> FunctionSource:
     """Build a source from a file path or a builtin:... designator.
 
@@ -163,17 +170,17 @@ def parse_source(spec: str) -> FunctionSource:
             dim = int(name[4:] or "1")
         except ValueError:
             raise PreconditionError("bad sinc builtin %r; use builtin:sinc2 or builtin:sinc2:0.5" % spec)
-        scale = float(parts[2]) if len(parts) > 2 else 1.0
+        scale = _builtin_float(spec, parts[2]) if len(parts) > 2 else 1.0
         return FunctionSource.sinc_product(dim=dim, scale=scale)
     if name == "cos":
         if len(parts) < 3:
             raise PreconditionError("builtin:cos needs frequencies, e.g. builtin:cos:1.0,0.5")
-        lam = [float(v) for v in parts[2].split(",")]
+        lam = [_builtin_float(spec, v) for v in parts[2].split(",")]
         return FunctionSource.cosine(lam)
     if name == "const":
         if len(parts) < 3:
             raise PreconditionError("builtin:const needs a value, e.g. builtin:const:2.0")
-        vals = [float(v) for v in parts[2].split(",")]
+        vals = [_builtin_float(spec, v) for v in parts[2].split(",")]
         value = complex(vals[0], vals[1] if len(vals) > 1 else 0.0)
         return FunctionSource.constant(value)
     raise PreconditionError("unknown builtin %r; expected sinc<p>, cos, or const" % spec)

@@ -179,6 +179,11 @@ class TestUsageErrors:
         r = run_cli("type", "--input", "builtin:gauss")
         assert r.returncode == 2
 
+    def test_malformed_builtin_number(self):
+        r = run_cli("type", "--input", "builtin:sinc2:abc")
+        assert r.returncode == 2
+        assert "builtin:sinc2:abc" in r.stderr and "Traceback" not in r.stderr
+
     def test_bad_points(self, two_term):
         r = run_cli("spectrum", "--input", two_term, "--points", "-5")
         assert r.returncode == 2

@@ -146,6 +146,14 @@ class TestTrigPolynomial:
             poly(1, [[np.inf]], [1.0])
 
 
+class TestFunctionSource:
+    @pytest.mark.parametrize("scale,amplitude", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                                 (1.0, np.nan), (1.0, complex(0.0, np.inf))])
+    def test_nonfinite_sinc_parameters_rejected(self, scale, amplitude):
+        with pytest.raises(PreconditionError):
+            FunctionSource.sinc_product(2, scale=scale, amplitude=amplitude)
+
+
 class TestExactType:
     def test_single_frequency_norm(self):
         assert exact_type(poly(2, [[3.0, 4.0]], [1.0])) == pytest.approx(5.0)

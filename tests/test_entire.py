@@ -219,7 +219,8 @@ def ref_estimate_type(source, radii=DEFAULT_RADII):
     used, log_max = [], []
     for r in radii:
         try:
-            vals = np.abs(eval_complex(source, 1j * r * dirs))
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.abs(eval_complex(source, 1j * r * dirs))
         except EvaluationRangeError:
             continue
         peak = float(np.max(vals))

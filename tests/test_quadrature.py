@@ -16,7 +16,7 @@ from apspec.quadrature import (
     REDUCE_BLOCK,
     check_budget,
     default_points_per_axis,
-    exp_axis_sums,
+    dirichlet_sums,
     full_grid,
     grid_points,
     index_sum,
@@ -255,15 +255,17 @@ class TestLineSums:
 
 
 class TestExpAxisSums:
+    # sums of exponentials along one axis: dirichlet_sums' closed form, and
+    # split_axis's coarse x fine rows that the sinc sums walk
     @pytest.mark.parametrize("kind", ["imaginary", "real", "mixed"])
     @pytest.mark.parametrize("lo,hi", [(-50.0, 50.0), (0.0, 4.0), (-7.0, 3.0)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65536, 65537, 100003, 131073])
     def test_matches_direct_sum_over_midpoints(self, n, lo, hi, kind):
-        # coarse x fine split against exp() at every midpoint.  3, 17, 101,
-        # 65537, 100003 and 131073 leave a partial last row, while 65536 is
-        # 256 full rows of one REDUCE_BLOCK block; the direct sums over 65537
-        # and 100003 nodes span two blocks and over 131073 nodes three.
-        # (-7, 3) is off-centre with lo != 0, so the row origins carry lo
+        # closed form against exp() at every midpoint; the direct sums over
+        # 65537 and 100003 nodes span two REDUCE_BLOCK blocks and over 131073
+        # nodes three.  (-7, 3) is off-centre, so the phase e^{iuc} is not 1.
+        # Imaginary exponents a = i u are the real offsets the coefficients
+        # pass; real and mixed ones take the complex u = -i a
         rng = np.random.default_rng(n)
         reach = max(abs(lo), abs(hi))
         a = np.zeros(7, dtype=np.complex128)
@@ -271,12 +273,31 @@ class TestExpAxisSums:
             a[1:] += 1j * rng.uniform(-4.0, 4.0, 6)
         if kind != "imaginary":
             a[1:] += rng.uniform(-8.0, 8.0, 6) / reach
+        u = a.imag if kind == "imaginary" else -1j * a
         nodes = midpoint_nodes(lo, hi, n)
         ref = index_sum(lambda start, stop: np.exp(np.outer(a, nodes[start:stop])), n)
-        got = exp_axis_sums(a, (lo, hi, n))
+        got = dirichlet_sums(u, (lo, hi, n))
         scale = np.sum(np.abs(np.exp(np.outer(a, nodes))), axis=1)
         assert got.shape == a.shape
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+        assert got[0] == n
+
+    @pytest.mark.parametrize("lo,hi", [(-50.0, 50.0), (-7.0, 3.0)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-9, -1e-9, 1e-7, 1e-3])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("n", [17, 41, 64, 1000])
+    def test_aliased_frequencies_keep_their_digits(self, n, m, delta, lo, hi):
+        # u h / 2 = pi m + delta: the grid aliases u onto 2 delta / h, and
+        # the kernel is +-n at delta = 0.  Bound fixed beforehand at
+        # 2 eps n (1 + |u| max|x|) against a long-double pointwise sum
+        t = np.pi * m + delta
+        u = np.array([0.0, 2 * t / ((hi - lo) / n), -2 * t / ((hi - lo) / n)])
+        got = dirichlet_sums(u, (lo, hi, n))
+        phase = np.outer(u.astype(np.longdouble), midpoint_nodes(lo, hi, n).astype(np.longdouble))
+        ref_re, ref_im = np.sum(np.cos(phase), axis=1), np.sum(np.sin(phase), axis=1)
+        err = np.hypot((got.real - ref_re).astype(float), (got.imag - ref_im).astype(float))
+        bound = 2 * np.finfo(float).eps * n * (1 + np.abs(u) * max(abs(lo), abs(hi)))
+        assert np.all(err <= bound)
         assert got[0] == n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 17, 101, 65537])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestParseSource:
     def test_malformed_sinc_suffix(self):
         with pytest.raises(PreconditionError):
             parse_source("builtin:sincX")
+
+    @pytest.mark.parametrize("spec", ["builtin:sinc2:abc", "builtin:cos:1.0,x", "builtin:const:abc",
+                                      "builtin:const:1,"])
+    def test_malformed_number_names_the_designator(self, spec):
+        with pytest.raises(PreconditionError, match=re.escape(repr(spec))):
+            parse_source(spec)
 
 
 class TestCanonicalJson:
